@@ -14,9 +14,10 @@ obs-check:
 
 # The HTTP tier's end-to-end smoke: boots a server on an ephemeral
 # port and drives query -> mutate -> re-query -> paginate, admission
-# overflow, migration, and the dead-letter/audit path.
+# overflow, migration, and the rejected-mutation/audit path; plus the
+# shard and audit-log unit tests below the HTTP surface.
 serve-check:
-	$(PYTHON) -m pytest -x -q tests/test_serve_http.py
+	$(PYTHON) -m pytest -x -q tests/test_serve_http.py tests/test_serve_units.py
 
 # The CLI battery: differential piped-vs-in-process equivalence, the
 # NDJSON codec fuzz suite, and the golden record fixtures.

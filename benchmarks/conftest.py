@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.measurement import MeasurementStudy
+from repro.api import AnalysisService, MeasurementQuery
 from repro.catalog import build_default_ecosystem
 from repro.core import ActFort
 
@@ -31,4 +31,4 @@ def actfort(ecosystem):
 @pytest.fixture(scope="session")
 def measurement(actfort):
     """The full Section IV measurement results."""
-    return MeasurementStudy().run_actfort(actfort)
+    return AnalysisService.from_actfort(actfort).execute(MeasurementQuery())

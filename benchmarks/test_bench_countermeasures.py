@@ -6,17 +6,19 @@ and all combined, reporting the potential-victim-set size and the
 direct/safe fractions per platform.
 """
 
+from repro.api import AnalysisService, DefenseEvalQuery
 from repro.core.tdg import DependencyLevel
-from repro.defense.evaluation import DefenseEvaluation, outcome_rows
+from repro.defense.evaluation import outcome_rows
 from repro.model.factors import Platform
 from repro.utils.tables import format_table
 
 
 def test_bench_countermeasures(benchmark, ecosystem):
-    evaluation = DefenseEvaluation(ecosystem)
-
     def ablate():
-        return evaluation.evaluate()
+        service = AnalysisService(ecosystem)
+        return service.execute(DefenseEvalQuery()).row(
+            service.primary_attacker
+        )
 
     outcomes = benchmark.pedantic(ablate, rounds=1, iterations=1)
 

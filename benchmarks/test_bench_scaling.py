@@ -490,14 +490,13 @@ def _run_big_tier(size, conn):
     import resource
 
     from repro.dynamic import MutationStream
-    from repro.dynamic.parallel import resolve_workers
 
     ecosystem = CatalogBuilder(
         CatalogSpec(total_services=size), seed=2021
     ).build_ecosystem()
 
     start = time.perf_counter()
-    service = AnalysisService(ecosystem, build_workers=-1)
+    service = AnalysisService(ecosystem)
     cold_build = time.perf_counter() - start
 
     # Levels + measurement: the Section IV payload.  The edge streams
@@ -524,7 +523,6 @@ def _run_big_tier(size, conn):
     conn.send(
         {
             "size": size,
-            "build_workers": resolve_workers(-1),
             "cold_build_seconds": cold_build,
             "first_serve_seconds": first_serve,
             "mutation_median_seconds": statistics.median(mutate_seconds),

@@ -8,8 +8,9 @@ nothing and cannot approve.
 Run:  python examples/defense_hardening.py
 """
 
-from repro import build_default_ecosystem
-from repro.defense import BuiltinAuthService, DefenseEvaluation
+from repro import AnalysisService, build_default_ecosystem
+from repro.api import DefenseEvalQuery
+from repro.defense import BuiltinAuthService
 from repro.defense.evaluation import outcome_rows
 from repro.utils.tables import format_table
 
@@ -19,7 +20,10 @@ def main() -> None:
 
     print("evaluating countermeasures over the 201-service catalog "
           "(this re-measures the ecosystem six times)...\n")
-    outcomes = DefenseEvaluation(ecosystem).evaluate()
+    service = AnalysisService(ecosystem)
+    outcomes = service.execute(DefenseEvalQuery()).row(
+        service.primary_attacker
+    )
     print(
         format_table(
             (

@@ -12,13 +12,13 @@ radius.  This example:
 Run:  python examples/ecosystem_audit.py
 """
 
-from repro import ActFort, build_default_ecosystem
+from repro import ActFort, AnalysisService, build_default_ecosystem
 from repro.analysis import (
-    MeasurementStudy,
     compute_insights,
     dependency_level_rows,
     table1_rows,
 )
+from repro.api import MeasurementQuery
 from repro.utils.tables import format_table
 
 
@@ -27,7 +27,9 @@ def main() -> None:
     actfort = ActFort.from_ecosystem(ecosystem)
 
     # --- Section IV measurement -------------------------------------
-    results = MeasurementStudy().run_actfort(actfort)
+    results = AnalysisService.from_actfort(actfort).execute(
+        MeasurementQuery()
+    )
     print("\n".join(results.summary_lines()))
     print()
     print(

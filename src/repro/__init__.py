@@ -113,8 +113,7 @@ from repro.catalog import CatalogBuilder, DeployedEcosystem, build_default_ecosy
 from repro.websim import Internet
 from repro.telecom import ActiveMitM, FourGJammer, GSMNetwork, OsmocomSniffer
 from repro.attack import ChainExecutor, SnifferInterception
-from repro.analysis import MeasurementStudy, compute_insights
-from repro.defense import DefenseEvaluation
+from repro.analysis import compute_insights
 from repro.dynamic import DynamicAnalysisSession
 from repro.api import AnalysisService
 
@@ -132,7 +131,6 @@ __all__ = [
     "CatalogBuilder",
     "ChainExecutor",
     "CredentialFactor",
-    "DefenseEvaluation",
     "DependencyLevel",
     "DeployedEcosystem",
     "DynamicAnalysisSession",
@@ -142,7 +140,6 @@ __all__ = [
     "Identity",
     "IdentityGenerator",
     "Internet",
-    "MeasurementStudy",
     "OnlineAccount",
     "OsmocomSniffer",
     "PathType",

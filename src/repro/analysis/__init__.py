@@ -9,7 +9,7 @@
   quantitative, assertable checks.
 """
 
-from repro.analysis.measurement import MeasurementResults, MeasurementStudy
+from repro.analysis.measurement import MeasurementResults
 from repro.analysis.figures import (
     connection_graph_summary,
     dependency_level_rows,
@@ -25,7 +25,6 @@ __all__ = [
     "InsightCheck",
     "full_report",
     "MeasurementResults",
-    "MeasurementStudy",
     "compute_insights",
     "connection_graph_summary",
     "dependency_level_rows",

@@ -1,32 +1,26 @@
 """The measurement study of Section IV.
 
-:class:`MeasurementStudy` evaluates ActFort over an ecosystem -- either
-from static profiles (fast; the default for the 201-service catalog) or by
-black-box probing a deployed internet (faithful; used by the integration
-tests) -- and aggregates every statistic the paper reports.
-
-The study is a thin client of the :class:`~repro.api.AnalysisService`
-facade: every ``run_*`` entry point builds (or adopts) a service and
-issues a :class:`~repro.api.MeasurementQuery`, so measurement shares the
-facade's version-keyed result cache, warm level-engine fixpoints, and
-batch planning.  The entry points are kept as delegating shims for
-compatibility; new code should talk to the facade directly.
+:func:`aggregate_reports` folds stage-1/2 reports plus one graph into
+every statistic the paper reports, and :class:`MeasurementAggregator`
+maintains the same fold incrementally under mutations.  Callers measure
+through the :class:`~repro.api.AnalysisService` facade with a
+:class:`~repro.api.MeasurementQuery` -- over static profiles
+(``AnalysisService(ecosystem)``) or a probed internet
+(``AnalysisService.from_internet``) -- so measurement shares the facade's
+version-keyed result cache, warm level-engine fixpoints, and batch
+planning.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping
 
-from repro.core.actfort import ActFort
 from repro.core.authproc import aggregate_path_statistics
 from repro.core.collection import exposure_table
 from repro.core.tdg import DependencyLevel
 from repro.model.account import AuthPurpose, PathType
-from repro.model.attacker import AttackerProfile
 from repro.model.factors import CredentialFactor
-from repro.model.ecosystem import Ecosystem
 from repro.model.factors import PersonalInfoKind, Platform
 from repro.utils.serialization import (
     enum_keyed_dict,
@@ -36,7 +30,6 @@ from repro.utils.serialization import (
     platform_map_from_dict,
     platform_map_to_dict,
 )
-from repro.websim.internet import Internet
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,8 +107,7 @@ def aggregate_reports(
 
     This is the measurement *engine* -- the one place the aggregation
     happens.  The :class:`~repro.api.AnalysisService` facade calls it for
-    :class:`~repro.api.MeasurementQuery`; the :class:`MeasurementStudy`
-    shims reach it through the facade.
+    :class:`~repro.api.MeasurementQuery`.
     """
     fig3: Dict[Platform, Mapping[str, float]] = {}
     table1: Dict[Platform, Mapping[PersonalInfoKind, float]] = {}
@@ -332,122 +324,3 @@ class MeasurementAggregator:
             table1=table1,
             dependency=dependency,
         )
-
-
-class MeasurementStudy:
-    """Runs the full Section IV measurement over one ecosystem."""
-
-    def __init__(self, attacker: Optional[AttackerProfile] = None) -> None:
-        self._attacker = attacker if attacker is not None else AttackerProfile.baseline()
-
-    def run_on_ecosystem(self, ecosystem: Ecosystem) -> MeasurementResults:
-        """Profile-mode measurement (no live services needed).
-
-        .. deprecated:: delegates to :class:`~repro.api.AnalysisService`.
-        """
-        from repro.api import AnalysisService, MeasurementQuery
-
-        warnings.warn(
-            "MeasurementStudy.run_on_ecosystem is a delegating shim; query the "
-            "repro.api.AnalysisService facade (MeasurementQuery) directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        service = AnalysisService(ecosystem, attacker=self._attacker)
-        return service.execute(MeasurementQuery())
-
-    def run_on_internet(self, internet: Internet) -> MeasurementResults:
-        """Probe-mode measurement against deployed services.
-
-        .. deprecated:: delegates to :class:`~repro.api.AnalysisService`.
-        """
-        from repro.api import AnalysisService, MeasurementQuery
-
-        warnings.warn(
-            "MeasurementStudy.run_on_internet is a delegating shim; query the "
-            "repro.api.AnalysisService facade (MeasurementQuery) directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        service = AnalysisService.from_internet(
-            internet, attacker=self._attacker
-        )
-        return service.execute(MeasurementQuery())
-
-    def run_actfort(self, actfort: ActFort) -> MeasurementResults:
-        """Aggregate a pre-built ActFort instance.
-
-        .. deprecated:: delegates to :class:`~repro.api.AnalysisService`.
-        """
-        from repro.api import AnalysisService, MeasurementQuery
-
-        warnings.warn(
-            "MeasurementStudy.run_actfort is a delegating shim; query the "
-            "repro.api.AnalysisService facade (MeasurementQuery) directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return AnalysisService.from_actfort(actfort).execute(
-            MeasurementQuery()
-        )
-
-    def run_batch(
-        self,
-        ecosystem: Ecosystem,
-        attackers: Iterable[AttackerProfile],
-    ) -> Tuple[MeasurementResults, ...]:
-        """Measure several attacker profiles over one ecosystem at once.
-
-        One facade is built for all profiles -- stage-1/2 reports and the
-        attacker-independent ecosystem index are shared across the labels
-        by the backing session -- and the per-profile measurements run as
-        one planned batch.  Results are returned in ``attackers`` order.
-
-        .. deprecated:: delegates to :class:`~repro.api.AnalysisService`.
-        """
-        from repro.api import AnalysisService, MeasurementQuery
-
-        warnings.warn(
-            "MeasurementStudy.run_batch is a delegating shim; query the "
-            "repro.api.AnalysisService facade (MeasurementQuery) directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        profiles = {
-            f"attacker_{index}": profile
-            for index, profile in enumerate(attackers)
-        }
-        if not profiles:
-            return ()
-        service = AnalysisService(ecosystem, attackers=profiles)
-        return service.execute_batch(
-            [MeasurementQuery(attacker=label) for label in profiles]
-        )
-
-    def run_session(
-        self, session, attacker: Optional[str] = None
-    ) -> MeasurementResults:
-        """Incremental re-aggregation over a live dynamic session.
-
-        ``session`` is a
-        :class:`~repro.dynamic.session.DynamicAnalysisSession`: its
-        stage-1/2 reports and indexed graph are maintained per mutation
-        delta, so re-measuring after a mutation costs only this O(services)
-        aggregation plus whatever memoized graph state the delta actually
-        invalidated -- never a pipeline rebuild.  ``attacker`` selects one
-        of the session's attacker labels (default: the session's first);
-        the study's own attacker profile is not consulted, since the
-        session already fixed its profiles at construction.
-
-        .. deprecated:: delegates to :class:`~repro.api.AnalysisService`.
-        """
-        from repro.api import AnalysisService, MeasurementQuery
-
-        warnings.warn(
-            "MeasurementStudy.run_session is a delegating shim; query the "
-            "repro.api.AnalysisService facade (MeasurementQuery) directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        service = AnalysisService.from_session(session)
-        return service.execute(MeasurementQuery(attacker=attacker))

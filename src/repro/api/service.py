@@ -31,9 +31,10 @@ rollout what-ifs -- is served here through typed queries
 
 This facade is the serving seam: anything that wants to shard, batch,
 or distribute the analysis talks to these queries, not to the engines.
-:class:`~repro.analysis.measurement.MeasurementStudy`,
-:class:`~repro.defense.evaluation.DefenseEvaluation` and
-:class:`~repro.dynamic.rollout.RolloutPlanner` are thin clients.
+The engines behind the measurement, defense and rollout queries are the
+module functions :func:`~repro.analysis.measurement.aggregate_reports`,
+:func:`~repro.defense.evaluation.measure_outcome` and
+:func:`~repro.dynamic.rollout.replay_plan`.
 """
 
 from __future__ import annotations
@@ -144,7 +145,6 @@ class AnalysisService:
         attackers: Optional[Mapping[str, AttackerProfile]] = None,
         cache_entries: int = 4096,
         instrumentation: Optional[Instrumentation] = None,
-        build_workers: Optional[int] = None,
     ) -> None:
         self._adopt(
             DynamicAnalysisSession(
@@ -152,7 +152,6 @@ class AnalysisService:
                 attacker=attacker,
                 attackers=attackers,
                 instrumentation=instrumentation,
-                build_workers=build_workers,
             ),
             cache_entries,
         )

@@ -12,8 +12,7 @@ result-cache entries across a migration.
 ``RolloutQuery`` is deliberately not wire-codable: its ``steps`` payload
 can hold arbitrary mutation objects (service profiles included), which
 belong to the trusted in-process API, not to request bodies.  Unknown
-kinds raise ``ValueError`` -- the HTTP tier maps that to a 400, never a
-dead-letter.
+kinds raise ``ValueError`` -- the HTTP tier maps that to a 400.
 """
 
 from __future__ import annotations

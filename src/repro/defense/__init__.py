@@ -20,12 +20,11 @@ baseline:
 from repro.defense.masking_policy import UnifiedMaskingPolicy
 from repro.defense.hardening import EmailHardening, SymmetryRepair
 from repro.defense.builtin_auth import BuiltinAuthService, BuiltinAuthUpgrade
-from repro.defense.evaluation import DefenseEvaluation, DefenseOutcome
+from repro.defense.evaluation import DefenseOutcome
 
 __all__ = [
     "BuiltinAuthService",
     "BuiltinAuthUpgrade",
-    "DefenseEvaluation",
     "DefenseOutcome",
     "EmailHardening",
     "SymmetryRepair",

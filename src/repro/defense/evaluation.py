@@ -6,25 +6,23 @@ each single defense, and all defenses combined it reports the
 dependency-level fractions and the forward-closure (PAV) size under the
 same attacker profile.
 
-Like the measurement study, the evaluation is a thin client of the
-:class:`~repro.api.AnalysisService` facade: the entry points are
-delegating shims around :class:`~repro.api.DefenseEvalQuery` /
-:class:`~repro.api.RolloutQuery`, so the ablation grid shares the
-facade's version-keyed result cache and the per-graph closure cache.
-The measurement *engine* itself lives in :func:`measure_outcome`.
+Callers run the ablation through the :class:`~repro.api.AnalysisService`
+facade with a :class:`~repro.api.DefenseEvalQuery` (or a
+:class:`~repro.api.RolloutQuery` for staged deployments), so the
+ablation grid shares the facade's version-keyed result cache and the
+per-graph closure cache.  The measurement *engine* itself lives in
+:func:`measure_outcome`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from repro.core.tdg import DependencyLevel
 from repro.defense.builtin_auth import BuiltinAuthUpgrade
 from repro.defense.hardening import EmailHardening, SymmetryRepair
 from repro.defense.masking_policy import UnifiedMaskingPolicy
-from repro.model.attacker import AttackerProfile
 from repro.model.ecosystem import Ecosystem
 from repro.model.factors import Platform
 from repro.utils.serialization import (
@@ -124,140 +122,6 @@ def measure_outcome(
         safe_fraction=safe,
         dependency=dependency,
     )
-
-
-class DefenseEvaluation:
-    """Runs the countermeasure ablation over one baseline ecosystem."""
-
-    def __init__(
-        self,
-        ecosystem: Ecosystem,
-        attacker: Optional[AttackerProfile] = None,
-    ) -> None:
-        self._baseline = ecosystem
-        self._attacker = attacker if attacker is not None else AttackerProfile.baseline()
-
-    def standard_defenses(self) -> Dict[str, DefenseTransform]:
-        """The paper's four proposals as named transforms."""
-        return standard_defenses()
-
-    def _service(self, attackers=None):
-        from repro.api import AnalysisService
-
-        if attackers is not None:
-            return AnalysisService(self._baseline, attackers=dict(attackers))
-        return AnalysisService(self._baseline, attacker=self._attacker)
-
-    @staticmethod
-    def _register(service, defenses):
-        """Register custom transforms; returns the names to query."""
-        if defenses is None:
-            return None
-        for name, transform in defenses.items():
-            service.register_defense(name, transform)
-        return tuple(defenses)
-
-    def evaluate(
-        self,
-        defenses: Optional[Mapping[str, DefenseTransform]] = None,
-        include_combined: bool = True,
-    ) -> Tuple[DefenseOutcome, ...]:
-        """Measure the baseline, each defense, and optionally all combined.
-
-        .. deprecated:: delegates to :class:`~repro.api.AnalysisService`.
-        """
-        from repro.api import DefenseEvalQuery
-
-        warnings.warn(
-            "DefenseEvaluation.evaluate is a delegating shim; query "
-            "the repro.api.AnalysisService facade (DefenseEvalQuery) "
-            "directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        service = self._service()
-        names = self._register(service, defenses)
-        result = service.execute(
-            DefenseEvalQuery(
-                defenses=names, include_combined=include_combined
-            )
-        )
-        return result.row(service.primary_attacker)
-
-    def evaluate_attackers(
-        self,
-        attackers: Mapping[str, AttackerProfile],
-        defenses: Optional[Mapping[str, DefenseTransform]] = None,
-        include_combined: bool = True,
-    ) -> Dict[str, Tuple[DefenseOutcome, ...]]:
-        """The full attacker-grid ablation: every defense x every profile.
-
-        For each hardened ecosystem variant the stage-1/2 reports and the
-        attacker-independent index are built once and shared across all
-        attacker profiles, so sweeping profiles costs one pipeline run per
-        variant instead of one per cell.  Returns
-        ``{attacker label: (baseline, defense..., combined)}`` rows in the
-        same order :meth:`evaluate` uses.
-
-        .. deprecated:: delegates to :class:`~repro.api.AnalysisService`.
-        """
-        from repro.api import DefenseEvalQuery
-
-        warnings.warn(
-            "DefenseEvaluation.evaluate_attackers is a delegating shim; query "
-            "the repro.api.AnalysisService facade (DefenseEvalQuery) "
-            "directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        labels = tuple(attackers)
-        service = self._service(attackers=attackers)
-        names = self._register(service, defenses)
-        result = service.execute(
-            DefenseEvalQuery(
-                defenses=names,
-                include_combined=include_combined,
-                attackers=labels,
-            )
-        )
-        return {label: result.row(label) for label in labels}
-
-    def evaluate_rollout(
-        self,
-        steps=None,
-        platforms: Tuple[Platform, ...] = (Platform.WEB, Platform.MOBILE),
-        include_weak: bool = False,
-    ):
-        """What-if trajectory of a *staged* deployment (Section VII, but
-        gradual): replay ``steps`` over the baseline ecosystem through the
-        incremental engine and return the per-step
-        :class:`~repro.dynamic.rollout.RolloutTrajectory`.
-
-        The default plan is the paper's narrative order at deployment
-        granularity: email hardening one provider at a time, then symmetry
-        repair domain by domain.  Each step is absorbed as a delta by the
-        live indexes, so an N-step rollout costs N incremental updates --
-        not the N full re-measurements :meth:`evaluate` would pay.
-
-        .. deprecated:: delegates to :class:`~repro.api.AnalysisService`.
-        """
-        from repro.api import RolloutQuery
-
-        warnings.warn(
-            "DefenseEvaluation.evaluate_rollout is a delegating shim; query "
-            "the repro.api.AnalysisService facade (RolloutQuery) "
-            "directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        service = self._service()
-        return service.execute(
-            RolloutQuery(
-                steps=tuple(steps) if steps is not None else None,
-                platforms=tuple(platforms),
-                include_weak=include_weak,
-            )
-        )
 
 
 def outcome_rows(

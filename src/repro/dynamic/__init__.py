@@ -44,7 +44,6 @@ from repro.dynamic.events import (
 )
 from repro.dynamic.incremental import apply_delta
 from repro.dynamic.rollout import (
-    RolloutPlanner,
     replay_plan,
     RolloutStep,
     RolloutTrajectory,
@@ -67,7 +66,6 @@ __all__ = [
     "MutationStream",
     "RemoveAuthPath",
     "RemoveService",
-    "RolloutPlanner",
     "RolloutStep",
     "RolloutTrajectory",
     "TrajectoryPoint",

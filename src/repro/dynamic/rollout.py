@@ -16,7 +16,6 @@ ten deltas plus re-aggregation, not ten pipeline rebuilds.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.tdg import DependencyLevel
@@ -168,8 +167,7 @@ def replay_plan(
     re-derive only the stream segments each delta dirtied.  This is the
     one place the replay loop lives; the
     :class:`~repro.api.AnalysisService` facade calls it for
-    :class:`~repro.api.RolloutQuery`, and :meth:`RolloutPlanner.replay`
-    is a deprecated shim over that query.
+    :class:`~repro.api.RolloutQuery`.
     """
     from repro.api import AnalysisService, EdgeSummaryQuery, LevelReportQuery
 
@@ -201,56 +199,6 @@ def replay_plan(
             touched.extend(receipt.delta.touched_services)
         points.append(measure(step.label, tuple(touched)))
     return RolloutTrajectory(attacker=profile, points=tuple(points))
-
-
-class RolloutPlanner:
-    """Replays staged hardening plans and records their trajectories.
-
-    .. deprecated:: :meth:`replay` delegates to the
-       :class:`~repro.api.AnalysisService` facade; new code should
-       execute a :class:`~repro.api.RolloutQuery` directly (the engine
-       itself is :func:`replay_plan`).
-    """
-
-    def __init__(
-        self,
-        ecosystem: Ecosystem,
-        attacker: Optional[AttackerProfile] = None,
-        platforms: Tuple[Platform, ...] = (Platform.WEB, Platform.MOBILE),
-        include_weak: bool = False,
-    ) -> None:
-        self._ecosystem = ecosystem
-        self._attacker = (
-            attacker if attacker is not None else AttackerProfile.baseline()
-        )
-        self._platforms = platforms
-        # Weak edges are the output-bound frontier (~200k couple records at
-        # 201 services); counting them per step is opt-in.  The count
-        # itself streams through ``iter_weak_edges`` either way.
-        self._include_weak = include_weak
-
-    def replay(self, steps: Iterable[RolloutStep]) -> RolloutTrajectory:
-        """Replay ``steps`` over a fresh facade; point 0 is the baseline.
-
-        .. deprecated:: delegates to :class:`~repro.api.AnalysisService`
-           (a :class:`~repro.api.RolloutQuery` with explicit steps).
-        """
-        warnings.warn(
-            "RolloutPlanner.replay is a delegating shim; query the "
-            "repro.api.AnalysisService facade (RolloutQuery) directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.api import AnalysisService, RolloutQuery
-
-        service = AnalysisService(self._ecosystem, attacker=self._attacker)
-        return service.execute(
-            RolloutQuery(
-                steps=tuple(steps),
-                platforms=tuple(self._platforms),
-                include_weak=self._include_weak,
-            )
-        )
 
 
 # ----------------------------------------------------------------------

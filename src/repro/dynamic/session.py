@@ -53,24 +53,19 @@ class DynamicAnalysisSession:
         attacker: Optional[AttackerProfile] = None,
         attackers: Optional[Mapping[str, AttackerProfile]] = None,
         instrumentation: Optional[Instrumentation] = None,
-        build_workers: Optional[int] = None,
     ) -> None:
         profiles = self._resolve_attackers(attacker, attackers)
         self._ecosystem: Optional[Ecosystem] = ecosystem
         self._authproc = AuthenticationProcess()
         self._collection = PersonalInfoCollection()
-        # The attacker-independent stage-1/2 pipeline is the cold-build
-        # hot path; ``build_workers`` shards it across a process pool
-        # (contiguous chunks, so report -- and therefore id -- order is
-        # identical to the serial loop's).
-        from repro.dynamic.parallel import build_reports
-
-        auth, collected, build_stats = build_reports(
-            list(ecosystem), workers=build_workers
-        )
-        self._auth_reports: Dict[str, ServiceAuthReport] = auth
-        self._collection_reports: Dict[str, CollectionReport] = collected
-        self._finish_init(profiles, instrumentation, build_stats)
+        # Reports are built in catalog order: node order -- and with it
+        # the interned id-space and every stream cursor -- follows the
+        # insertion order of these dicts.
+        self._auth_reports: Dict[str, ServiceAuthReport] = {}
+        self._collection_reports: Dict[str, CollectionReport] = {}
+        for profile in ecosystem:
+            self._refresh_reports(profile)
+        self._finish_init(profiles, instrumentation)
 
     @classmethod
     def from_reports(
@@ -118,7 +113,6 @@ class DynamicAnalysisSession:
         self,
         profiles: Dict[str, AttackerProfile],
         instrumentation: Optional[Instrumentation] = None,
-        build_stats=None,
     ) -> None:
         self._attackers = profiles
         self._graphs: Optional[
@@ -127,7 +121,7 @@ class DynamicAnalysisSession:
         self._pending_document = None
         self._ecosystem_pending = False
         self._restored_size: Optional[int] = None
-        self._init_obs(instrumentation, build_stats)
+        self._init_obs(instrumentation)
         self._build_graphs()
         self._deltas: List[EcosystemDelta] = []
         # The Section IV counter view; built on the first measurement()
@@ -139,11 +133,7 @@ class DynamicAnalysisSession:
         self._version_base = 0
         self._history_base: List[str] = []
 
-    def _init_obs(
-        self,
-        instrumentation: Optional[Instrumentation],
-        build_stats,
-    ) -> None:
+    def _init_obs(self, instrumentation: Optional[Instrumentation]) -> None:
         # One shared handle across every attacker view, attached before
         # any lazy engine exists so all engine layers resolve their
         # registry children from it (label = the attacker label).
@@ -161,20 +151,7 @@ class DynamicAnalysisSession:
             "Wall time one mutation took to absorb (delta + reports).",
             buckets=DEFAULT_SECONDS_BUCKETS,
         )
-        # Cold-build pool accounting and id-space sizing.  The interner
-        # gauges are refreshed on read through ``interner_stats`` --
-        # here they just get their cold values.
-        if build_stats is not None:
-            workers_gauge = self._obs.gauge(
-                "repro_session_cold_build_workers",
-                "Worker processes the cold report build sharded across.",
-            )
-            workers_gauge.set(build_stats.workers)
-            chunks_gauge = self._obs.gauge(
-                "repro_session_cold_build_chunks",
-                "Contiguous profile chunks the cold report build used.",
-            )
-            chunks_gauge.set(build_stats.chunks)
+        # Id-space sizing, refreshed on read through ``interner_stats``.
         self._ids_live_gauge = self._obs.gauge(
             "repro_ids_live",
             "Live interned ids per id table.",
@@ -189,7 +166,7 @@ class DynamicAnalysisSession:
     def _build_graphs(self) -> None:
         # Nodes derive from the maintained stage-1/2 reports -- the exact
         # ActFort derivation -- so the session agrees bit-for-bit with
-        # ``ActFort.from_ecosystem`` / ``MeasurementStudy`` at every state
+        # ``ActFort.from_ecosystem`` / ``aggregate_reports`` at every state
         # (the profile-direct ``from_ecosystem`` path differs in node
         # detail, e.g. full-union partial promotion and path order).
         nodes = TransformationDependencyGraph.nodes_from_reports(
@@ -258,7 +235,7 @@ class DynamicAnalysisSession:
         session._graphs = None
         session._pending_document = document
         session._restored_size = len(document["auth_reports"])
-        session._init_obs(instrumentation, None)
+        session._init_obs(instrumentation)
         session._deltas = []
         session._measurement_view = None
         session._measurement_counters = document.get("measurement")

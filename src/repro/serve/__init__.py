@@ -6,14 +6,13 @@ running, dependency-free service (stdlib ``http.server`` only):
 - :mod:`repro.serve.shard` -- the worker pool.  Every ``(tenant,
   session)`` gets a single-writer event loop that owns its service
   exclusively: queries coalesce into shared-plan batches, mutations
-  serialize per shard with capped-backoff retries, and snapshot
-  migration swaps a session onto a fresh worker bit-for-bit.
+  serialize per shard and apply exactly once, and snapshot migration
+  swaps a session onto a fresh worker bit-for-bit.
 - :mod:`repro.serve.admission` -- per-tenant concurrency caps with a
   bounded FIFO wait queue; overflow is an immediate 429 +
   ``Retry-After``.
-- :mod:`repro.serve.dlq` / :mod:`repro.serve.audit` -- retry-exhausted
-  mutations dead-letter (list/requeue/cancel endpoints) and every
-  mutation receipt lands in an NDJSON audit log.
+- :mod:`repro.serve.audit` -- every mutation receipt, rejected ones
+  included, lands in an NDJSON audit log.
 - :mod:`repro.serve.server` -- the HTTP route table, ``/health`` /
   ``/ready`` / ``/metrics`` included.
 
@@ -27,23 +26,14 @@ from repro.serve.admission import (
     TenantGate,
 )
 from repro.serve.audit import AuditLog
-from repro.serve.dlq import DeadLetter, DeadLetterQueue
 from repro.serve.server import AnalysisServer
-from repro.serve.shard import (
-    DeadLettered,
-    ServeConfig,
-    Shard,
-    ShardManager,
-)
+from repro.serve.shard import ServeConfig, Shard, ShardManager
 
 __all__ = [
     "AdmissionController",
     "AdmissionRejected",
     "AnalysisServer",
     "AuditLog",
-    "DeadLetter",
-    "DeadLetterQueue",
-    "DeadLettered",
     "ServeConfig",
     "Shard",
     "ShardManager",

@@ -35,11 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=ServeConfig.max_queue_per_tenant,
     )
     parser.add_argument(
-        "--mutation-retries",
-        type=int,
-        default=ServeConfig.mutation_retries,
-    )
-    parser.add_argument(
         "--audit-path",
         default=None,
         help="NDJSON audit log destination (default: in-memory ring only)",
@@ -50,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     options = build_parser().parse_args(argv)
     config = ServeConfig(
-        mutation_retries=options.mutation_retries,
         max_concurrent_per_tenant=options.max_concurrent_per_tenant,
         max_queue_per_tenant=options.max_queue_per_tenant,
         audit_path=options.audit_path,

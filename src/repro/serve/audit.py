@@ -1,8 +1,8 @@
 """NDJSON audit log of mutation receipts.
 
 Every mutation that reaches a shard leaves exactly one audit record --
-``applied``, ``noop``, ``dead_lettered``, ``requeued``, or ``cancelled``
--- so the mutation history of a tenant is reconstructible from the log
+``applied``, ``noop``, or ``rejected`` (with the error) -- so the
+mutation history of a tenant is reconstructible from the log
 alone.  Records append to an NDJSON file when a path is configured and
 always land in a bounded in-memory ring, which is what the
 ``/v1/{tenant}/audit`` endpoint serves (the file is the durable copy,
@@ -44,9 +44,7 @@ class AuditLog:
         mutation: Dict[str, Any],
         version: Optional[int] = None,
         delta: Optional[str] = None,
-        attempts: Optional[int] = None,
         error: Optional[str] = None,
-        dead_letter_id: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Append one receipt; returns the record written."""
         with self._lock:
@@ -63,12 +61,8 @@ class AuditLog:
                 entry["version"] = version
             if delta is not None:
                 entry["delta"] = delta
-            if attempts is not None:
-                entry["attempts"] = attempts
             if error is not None:
                 entry["error"] = error
-            if dead_letter_id is not None:
-                entry["dead_letter_id"] = dead_letter_id
             self._ring.append(entry)
             if self._file is not None:
                 self._file.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -78,13 +72,15 @@ class AuditLog:
     def tail(
         self, tenant: Optional[str] = None, limit: int = 100
     ) -> List[Dict[str, Any]]:
-        """The most recent records (newest last), optionally one
-        tenant's."""
+        """The most recent ``limit`` records (newest last), optionally
+        one tenant's; a negative ``limit`` returns every record."""
         with self._lock:
             entries = list(self._ring)
         if tenant is not None:
             entries = [e for e in entries if e["tenant"] == tenant]
-        return entries[-limit:] if limit >= 0 else entries
+        if limit < 0:
+            return entries
+        return entries[-limit:] if limit else []
 
     def close(self) -> None:
         with self._lock:

@@ -24,17 +24,16 @@ Route map (all bodies JSON)::
     POST /v1/{t}/sessions/{s}/migrate           snapshot/restore onto a fresh shard
     GET  /v1/{t}/sessions/{s}/observability     per-session engine-layer snapshot
     GET  /v1/{t}/sessions/{s}/metrics           per-session Prometheus text
-    GET  /v1/{t}/dead-letters                   list this tenant's DLQ entries
-    POST /v1/{t}/dead-letters/{id}/requeue      re-apply through the shard
-    POST /v1/{t}/dead-letters/{id}/cancel       mark cancelled
     GET  /v1/{t}/audit?tail=N                   this tenant's audit tail
 
-Error contract: malformed/unknown documents are 400 (never
-dead-lettered), unknown sessions/entries are 404, session-name
-collisions are 409, admission overflow is 429 with ``Retry-After``, and
-a retry-exhausted mutation is a 500 whose body carries the dead-letter
-entry id -- the failure is preserved, queryable, and requeueable, never
-swallowed.
+Error contract: malformed/unknown documents are 400, unknown
+sessions/services are 404, session-name collisions are 409, admission
+overflow is 429 with ``Retry-After``, and any other failure is a 500.
+A mutation is applied exactly once -- the engines are deterministic, so
+a retry could only fail again -- and its exception maps through the same
+table: ``ValueError``/``TypeError`` are 400, ``KeyError`` (e.g. removing
+an unknown service) is 404.  Every mutation, rejected ones included,
+leaves one audit record, so a failure is never swallowed.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.api.wire import query_from_dict, result_to_dict
 from repro.obs import DEFAULT_SECONDS_BUCKETS, Instrumentation, monotonic
 from repro.serve.admission import AdmissionController, AdmissionRejected
-from repro.serve.shard import DeadLettered, ServeConfig, ShardManager
+from repro.serve.shard import ServeConfig, ShardManager
 from repro.utils.serialization import mutation_from_dict
 
 __all__ = ["AnalysisServer"]
@@ -214,15 +213,6 @@ class AnalysisServer:
                 status=429,
                 headers={"Retry-After": f"{exc.retry_after:g}"},
             )
-        except DeadLettered as exc:
-            response = _Response(
-                {
-                    "error": str(exc),
-                    "outcome": "dead_lettered",
-                    "dead_letter": exc.entry.to_dict(),
-                },
-                status=500,
-            )
         except _HTTPError as exc:
             response = _Response({"error": str(exc)}, status=exc.status)
         except (ValueError, TypeError) as exc:
@@ -255,12 +245,6 @@ class AnalysisServer:
         if len(parts) >= 3 and parts[2] == "sessions":
             return (
                 f"sessions/{parts[4]}" if len(parts) >= 5 else "sessions"
-            )
-        if len(parts) >= 3 and parts[2] == "dead-letters":
-            return (
-                f"dead-letters/{parts[4]}"
-                if len(parts) >= 5
-                else "dead-letters"
             )
         if len(parts) >= 3:
             return parts[2]
@@ -340,8 +324,6 @@ class AnalysisServer:
             return self._dispatch_sessions(
                 method, tenant, rest, params, body
             )
-        if area == "dead-letters":
-            return self._dispatch_dead_letters(method, tenant, rest)
         if area == "audit" and method == "GET" and not rest:
             limit = int(params.get("tail", ["100"])[0])
             return _Response(
@@ -429,32 +411,3 @@ class AnalysisServer:
         except KeyError as exc:
             raise _HTTPError(409, str(exc))
         return _Response(created, status=201)
-
-    def _dispatch_dead_letters(
-        self, method: str, tenant: str, rest
-    ) -> _Response:
-        if not rest and method == "GET":
-            return _Response(
-                {"dead_letters": self.manager.dlq.list(tenant)}
-            )
-        if len(rest) == 2 and method == "POST":
-            entry_id, action = rest
-            if action == "requeue":
-                try:
-                    return _Response(
-                        self.manager.requeue_dead_letter(
-                            tenant, entry_id
-                        )
-                    )
-                except KeyError as exc:
-                    raise _HTTPError(404, str(exc))
-            if action == "cancel":
-                try:
-                    return _Response(
-                        self.manager.cancel_dead_letter(
-                            tenant, entry_id
-                        )
-                    )
-                except KeyError as exc:
-                    raise _HTTPError(404, str(exc))
-        raise _HTTPError(404, "no dead-letter route")

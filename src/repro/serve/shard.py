@@ -15,12 +15,12 @@ amortizes across concurrent readers -- the fan-out happens *inside* the
 plan, where shared work is deduped, instead of across threads fighting
 over one graph.
 
-Mutation failures retry with capped exponential backoff inside the
-worker (mutations are serialized anyway, so backoff never blocks another
-shard) and dead-letter into the manager's
-:class:`~repro.serve.dlq.DeadLetterQueue` when retries are exhausted.
-Every receipt -- applied, no-op, or dead-lettered -- is recorded in the
-NDJSON :class:`~repro.serve.audit.AuditLog`.
+Mutations apply exactly once.  The engines are deterministic and
+in-process, so a failed mutation would fail the same way again: its
+exception goes straight back to the caller (the HTTP tier maps it to a
+status), and the session is left as the failing apply left it.  Every
+receipt -- applied, no-op, or rejected -- is recorded in the NDJSON
+:class:`~repro.serve.audit.AuditLog`.
 
 Snapshot migration: :meth:`ShardManager.migrate` snapshots the session
 *inside* its worker loop (a consistent point between mutations), restores
@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import queue
 import threading
-import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api import AnalysisService, Query
@@ -42,14 +41,9 @@ from repro.api.queries import RolloutQuery
 from repro.model.attacker import AttackerProfile
 from repro.obs import Instrumentation
 from repro.serve.audit import AuditLog
-from repro.serve.dlq import DeadLetterQueue
-from repro.utils.serialization import (
-    attacker_profile_from_dict,
-    mutation_from_dict,
-    mutation_to_dict,
-)
+from repro.utils.serialization import attacker_profile_from_dict
 
-__all__ = ["DeadLettered", "ServeConfig", "Shard", "ShardManager"]
+__all__ = ["ServeConfig", "Shard", "ShardManager"]
 
 _STOP = object()
 
@@ -58,11 +52,6 @@ _STOP = object()
 class ServeConfig:
     """Knobs for the serving tier (one instance per server)."""
 
-    #: Apply attempts per mutation (1 initial + ``mutation_retries``).
-    mutation_retries: int = 2
-    #: Exponential backoff base / cap between apply attempts, seconds.
-    retry_backoff_base: float = 0.05
-    retry_backoff_cap: float = 1.0
     #: Per-tenant admission defaults.
     max_concurrent_per_tenant: int = 8
     max_queue_per_tenant: int = 16
@@ -71,14 +60,6 @@ class ServeConfig:
     audit_path: Optional[str] = None
     #: Catalog ceiling for cold session builds over the HTTP surface.
     max_services_per_session: int = 30_000
-
-
-class DeadLettered(Exception):
-    """A mutation exhausted its retries; carries the DLQ entry."""
-
-    def __init__(self, entry) -> None:
-        super().__init__(f"mutation dead-lettered as {entry.id}")
-        self.entry = entry
 
 
 class _Reply:
@@ -118,7 +99,6 @@ class _MutationWork:
     mutation: Any
     document: Dict[str, Any]
     reply: _Reply
-    retried_from: Optional[str] = None
 
 
 @dataclasses.dataclass
@@ -138,7 +118,6 @@ class Shard:
         service: AnalysisService,
         config: ServeConfig,
         audit: AuditLog,
-        dlq: DeadLetterQueue,
         metrics: "_ShardMetrics",
     ) -> None:
         self.shard_id = shard_id
@@ -147,7 +126,6 @@ class Shard:
         self._service = service
         self._config = config
         self._audit = audit
-        self._dlq = dlq
         self._metrics = metrics
         self._inbox: "queue.Queue[Any]" = queue.Queue()
         self._thread = threading.Thread(
@@ -182,18 +160,12 @@ class Shard:
         mutation,
         document: Dict[str, Any],
         timeout: Optional[float] = 60.0,
-        retried_from: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """Apply one mutation; returns the receipt document or raises
-        :class:`DeadLettered` after retry exhaustion."""
+        """Apply one mutation once; returns the receipt document or
+        re-raises the exception the apply raised."""
         reply = _Reply()
         self._submit(
-            _MutationWork(
-                mutation=mutation,
-                document=document,
-                reply=reply,
-                retried_from=retried_from,
-            )
+            _MutationWork(mutation=mutation, document=document, reply=reply)
         )
         return reply.wait(timeout)
 
@@ -275,8 +247,13 @@ class Shard:
         try:
             results = self._service.execute_batch(flat)
         except Exception as exc:
+            if len(batch) == 1:
+                batch[0].reply.fail(exc)
+                return
+            # One bad request must not fail the requests coalesced with
+            # it: re-run each work on its own so only the offender fails.
             for work in batch:
-                work.reply.fail(exc)
+                self._run_queries([work])
             return
         self._metrics.queries.labels(tenant=self.tenant).inc(len(flat))
         if len(batch) > 1:
@@ -296,67 +273,43 @@ class Shard:
             except Exception as exc:
                 work.reply.fail(exc)
             return
-        self._apply_with_retries(work)
+        self._apply(work)
 
-    def _apply_with_retries(self, work: _MutationWork) -> None:
-        config = self._config
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                receipt = self._service.apply(work.mutation)
-            except Exception as exc:
-                if attempts <= config.mutation_retries:
-                    backoff = min(
-                        config.retry_backoff_base * (2 ** (attempts - 1)),
-                        config.retry_backoff_cap,
-                    )
-                    time.sleep(backoff)
-                    continue
-                entry = self._dlq.add(
-                    tenant=self.tenant,
-                    session=self.session_name,
-                    mutation=work.document,
-                    error=f"{type(exc).__name__}: {exc}",
-                    attempts=attempts,
-                    retried_from=work.retried_from,
-                )
-                self._audit.record(
-                    tenant=self.tenant,
-                    session=self.session_name,
-                    outcome="dead_lettered",
-                    mutation=work.document,
-                    attempts=attempts,
-                    error=entry.error,
-                    dead_letter_id=entry.id,
-                )
-                self._metrics.mutations.labels(
-                    tenant=self.tenant, outcome="dead_lettered"
-                ).inc()
-                work.reply.fail(DeadLettered(entry))
-                return
-            outcome = "noop" if receipt.delta.is_noop else "applied"
+    def _apply(self, work: _MutationWork) -> None:
+        try:
+            receipt = self._service.apply(work.mutation)
+        except Exception as exc:
             self._audit.record(
                 tenant=self.tenant,
                 session=self.session_name,
-                outcome=outcome,
+                outcome="rejected",
                 mutation=work.document,
-                version=receipt.version,
-                delta=receipt.delta.describe(),
-                attempts=attempts,
+                error=f"{type(exc).__name__}: {exc}",
             )
             self._metrics.mutations.labels(
-                tenant=self.tenant, outcome=outcome
+                tenant=self.tenant, outcome="rejected"
             ).inc()
-            work.reply.set(
-                {
-                    "outcome": outcome,
-                    "version": receipt.version,
-                    "delta": receipt.delta.describe(),
-                    "attempts": attempts,
-                }
-            )
+            work.reply.fail(exc)
             return
+        outcome = "noop" if receipt.delta.is_noop else "applied"
+        self._audit.record(
+            tenant=self.tenant,
+            session=self.session_name,
+            outcome=outcome,
+            mutation=work.document,
+            version=receipt.version,
+            delta=receipt.delta.describe(),
+        )
+        self._metrics.mutations.labels(
+            tenant=self.tenant, outcome=outcome
+        ).inc()
+        work.reply.set(
+            {
+                "outcome": outcome,
+                "version": receipt.version,
+                "delta": receipt.delta.describe(),
+            }
+        )
 
 
 class _ShardMetrics:
@@ -394,7 +347,7 @@ class _ShardMetrics:
 
 
 class ShardManager:
-    """Routes ``(tenant, session)`` to shards; owns DLQ, audit, config.
+    """Routes ``(tenant, session)`` to shards; owns audit and config.
 
     Creation, migration, and retirement swap routing entries under one
     lock; the per-shard worker loops never block each other.
@@ -412,7 +365,6 @@ class ShardManager:
             else Instrumentation()
         )
         self.audit = AuditLog(path=self.config.audit_path)
-        self.dlq = DeadLetterQueue(instrumentation=self.instrumentation)
         self._metrics = _ShardMetrics(self.instrumentation)
         self._lock = threading.Lock()
         self._shards: Dict[Tuple[str, str], Shard] = {}
@@ -501,7 +453,6 @@ class ShardManager:
                 service=service,
                 config=self.config,
                 audit=self.audit,
-                dlq=self.dlq,
                 metrics=self._metrics,
             )
             self._shards[(tenant, name)] = shard
@@ -538,7 +489,6 @@ class ShardManager:
                 service=restored,
                 config=self.config,
                 audit=self.audit,
-                dlq=self.dlq,
                 metrics=self._metrics,
             )
             self._shards[(tenant, name)] = replacement
@@ -552,62 +502,6 @@ class ShardManager:
             "version": restored.version,
             "warm_results": len(document.get("warm_results", ())),
         }
-
-    # -- dead-letter operations -------------------------------------------
-
-    def requeue_dead_letter(
-        self, tenant: str, entry_id: str
-    ) -> Dict[str, Any]:
-        """Re-apply a dead-lettered mutation through its shard.
-
-        A repeat failure dead-letters again as a *new* entry chained via
-        ``retried_from``; either way the original entry is marked
-        ``requeued`` and audited.
-        """
-        entry = self.dlq.get(tenant, entry_id)
-        if entry is None:
-            raise KeyError(f"no dead letter {entry_id!r}")
-        shard = self.shard(tenant, entry.session)
-        if shard is None:
-            raise KeyError(
-                f"session {entry.session!r} for dead letter "
-                f"{entry_id!r} is gone"
-            )
-        mutation = mutation_from_dict(entry.mutation)
-        self.dlq.mark(entry, "requeued")
-        self.audit.record(
-            tenant=tenant,
-            session=entry.session,
-            outcome="requeued",
-            mutation=entry.mutation,
-            dead_letter_id=entry.id,
-        )
-        try:
-            receipt = shard.apply(
-                mutation, entry.mutation, retried_from=entry.id
-            )
-        except DeadLettered as exc:
-            return {
-                "outcome": "dead_lettered",
-                "dead_letter": exc.entry.to_dict(),
-            }
-        return receipt
-
-    def cancel_dead_letter(
-        self, tenant: str, entry_id: str
-    ) -> Dict[str, Any]:
-        entry = self.dlq.get(tenant, entry_id)
-        if entry is None:
-            raise KeyError(f"no dead letter {entry_id!r}")
-        self.dlq.mark(entry, "cancelled")
-        self.audit.record(
-            tenant=tenant,
-            session=entry.session,
-            outcome="cancelled",
-            mutation=entry.mutation,
-            dead_letter_id=entry.id,
-        )
-        return entry.to_dict()
 
     # -- health -----------------------------------------------------------
 
@@ -641,9 +535,3 @@ class ShardManager:
             shard.close()
         self.audit.close()
 
-
-def encode_mutation(mutation) -> Dict[str, Any]:
-    """Re-export convenience for callers that already hold a typed
-    mutation (benchmarks, tests) -- the shard surface wants both the
-    object and its wire document for audit/DLQ records."""
-    return mutation_to_dict(mutation)

@@ -13,7 +13,7 @@ from repro.analysis.figures import (
     table1_rows,
 )
 from repro.analysis.insights import compute_insights
-from repro.analysis.measurement import MeasurementStudy
+from repro.api import AnalysisService, MeasurementQuery
 from repro.catalog.spec import TABLE1_MOBILE, TABLE1_WEB
 from repro.core.tdg import DependencyLevel
 from repro.model.factors import Platform as PL
@@ -21,7 +21,9 @@ from repro.model.factors import Platform as PL
 
 @pytest.fixture(scope="module")
 def results(default_actfort):
-    return MeasurementStudy().run_actfort(default_actfort)
+    return AnalysisService.from_actfort(default_actfort).execute(
+        MeasurementQuery()
+    )
 
 
 # "default_actfort" is session-scoped in conftest; re-export at module scope.
@@ -137,13 +139,17 @@ class TestRunBatch:
             AttackerProfile.baseline(),
             AttackerProfile.with_se_database(),
         ]
-        batch = MeasurementStudy().run_batch(default_ecosystem, profiles)
+        labels = [f"attacker_{index}" for index in range(len(profiles))]
+        service = AnalysisService(
+            default_ecosystem, attackers=dict(zip(labels, profiles))
+        )
+        batch = service.execute_batch(
+            [MeasurementQuery(attacker=label) for label in labels]
+        )
         assert len(batch) == len(profiles)
         for profile, batched in zip(profiles, batch):
-            solo = MeasurementStudy(attacker=profile).run_on_ecosystem(
-                default_ecosystem
-            )
-            assert batched == solo
+            solo = AnalysisService(default_ecosystem, attacker=profile)
+            assert batched == solo.execute(MeasurementQuery())
 
 
 class TestInsights:

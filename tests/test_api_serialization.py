@@ -9,7 +9,6 @@ with no post-processing.
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -32,7 +31,7 @@ from repro.api import (
     RolloutQuery,
     WeakEdgeQuery,
 )
-from repro.analysis.measurement import MeasurementResults
+from repro.analysis.measurement import MeasurementResults, aggregate_reports
 from repro.catalog.builder import CatalogBuilder
 from repro.catalog.spec import CatalogSpec
 from repro.defense.evaluation import DefenseOutcome
@@ -119,10 +118,9 @@ def test_rollout_trajectory_and_step_records_roundtrip(service):
         assert len(document["mutations"]) == len(step.mutations)
 
 
-def test_legacy_results_from_shims_serialize_too(service):
-    from repro.analysis.measurement import MeasurementStudy
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        measured = MeasurementStudy().run_on_ecosystem(service.ecosystem)
+def test_direct_engine_results_serialize_too(service):
+    session = service.session
+    measured = aggregate_reports(
+        session.auth_reports, session.collection_reports, session.graph()
+    )
     assert roundtrip(measured) == measured

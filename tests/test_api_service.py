@@ -1,8 +1,7 @@
 """Differential suite for the :class:`~repro.api.AnalysisService` facade.
 
-Every legacy entry point (``MeasurementStudy.run_*``,
-``DefenseEvaluation.evaluate*``, ``session.query``) now routes through
-the facade; this suite locks the routed results bit-for-bit against
+Measurement, defense evaluation and rollout what-ifs are served only
+through the facade; this suite locks its results bit-for-bit against
 *direct engine use* -- fresh ActFort pipelines, hand-rolled session
 loops -- across seeded ecosystems with mutation sequences interleaved,
 so the facade's version-keyed cache, plan/execute batching, and stream
@@ -11,11 +10,9 @@ pagination can never drift from the engines they front.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.analysis.measurement import MeasurementStudy, aggregate_reports
+from repro.analysis.measurement import aggregate_reports
 from repro.api import (
     AnalysisService,
     ClosureQuery,
@@ -25,17 +22,14 @@ from repro.api import (
     EdgeSummaryQuery,
     LevelReportQuery,
     MeasurementQuery,
+    RolloutQuery,
     WeakEdgeQuery,
 )
 from repro.catalog.builder import CatalogBuilder
 from repro.catalog.spec import CatalogSpec
 from repro.core.actfort import ActFort
 from repro.core.strategy import StrategyEngine
-from repro.defense.evaluation import (
-    DefenseEvaluation,
-    measure_outcome,
-    standard_defenses,
-)
+from repro.defense.evaluation import measure_outcome, standard_defenses
 from repro.dynamic import DynamicAnalysisSession, MutationStream
 from repro.dynamic.rollout import (
     RolloutTrajectory,
@@ -72,14 +66,6 @@ def reference_measurement(ecosystem, profile):
 
 def fresh_graph(ecosystem, profile):
     return ActFort.from_ecosystem(ecosystem, attacker=profile).tdg()
-
-
-@pytest.fixture(autouse=True)
-def _allow_shims():
-    """The legacy entry points under test warn by design."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        yield
 
 
 # ----------------------------------------------------------------------
@@ -240,15 +226,15 @@ def test_couple_pagination_interrupted_by_mutation_resumes_at_watermark(seed):
 
 
 # ----------------------------------------------------------------------
-# Legacy entry points through the shims
+# Measurement, defense and rollout queries vs restated engines
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_run_on_ecosystem_and_run_batch_delegate_bit_identically(seed):
     ecosystem = build_ecosystem(seed)
-    study = MeasurementStudy()
-    assert study.run_on_ecosystem(ecosystem) == reference_measurement(
+    solo = AnalysisService(ecosystem).execute(MeasurementQuery())
+    assert solo == reference_measurement(
         ecosystem, AttackerProfile.baseline()
     )
 
@@ -257,7 +243,13 @@ def test_run_on_ecosystem_and_run_batch_delegate_bit_identically(seed):
         AttackerProfile.with_se_database(),
         AttackerProfile.passive_observer(),
     )
-    batch = study.run_batch(ecosystem, profiles)
+    labels = [f"attacker_{index}" for index in range(len(profiles))]
+    service = AnalysisService(
+        ecosystem, attackers=dict(zip(labels, profiles))
+    )
+    batch = service.execute_batch(
+        [MeasurementQuery(attacker=label) for label in labels]
+    )
     assert batch == tuple(
         reference_measurement(ecosystem, profile) for profile in profiles
     )
@@ -270,8 +262,10 @@ def test_run_session_matches_rebuild_after_mutations(seed):
     stream = MutationStream(seed=seed + 5)
     for _ in range(4):
         session.mutate(stream.next_mutation(session.ecosystem))
-    study = MeasurementStudy()
-    assert study.run_session(session) == reference_measurement(
+    measured = AnalysisService.from_session(session).execute(
+        MeasurementQuery()
+    )
+    assert measured == reference_measurement(
         session.ecosystem, session.attackers["baseline"]
     )
 
@@ -283,8 +277,10 @@ def test_evaluate_attackers_matches_direct_grid(seed):
         "baseline": AttackerProfile.baseline(),
         "se": AttackerProfile.with_se_database(),
     }
-    evaluation = DefenseEvaluation(ecosystem)
-    grid = evaluation.evaluate_attackers(attackers)
+    result = AnalysisService(ecosystem, attackers=attackers).execute(
+        DefenseEvalQuery(attackers=tuple(attackers))
+    )
+    grid = {label: result.row(label) for label in attackers}
 
     # The pre-facade algorithm, restated directly over the engines.
     defenses = standard_defenses()
@@ -309,17 +305,17 @@ def test_evaluate_attackers_matches_direct_grid(seed):
         label: tuple(outcomes) for label, outcomes in expected.items()
     }
 
-    single = evaluation.evaluate()
-    assert single == grid["baseline"]
+    service = AnalysisService(ecosystem)
+    single = service.execute(DefenseEvalQuery())
+    assert single.row(service.primary_attacker) == grid["baseline"]
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_evaluate_rollout_matches_direct_session_loop(seed):
     ecosystem = build_ecosystem(seed, size=24)
     steps = email_hardening_rollout(ecosystem)[:4]
-    evaluation = DefenseEvaluation(ecosystem)
-    trajectory = evaluation.evaluate_rollout(
-        steps=steps, include_weak=True
+    trajectory = AnalysisService(ecosystem).execute(
+        RolloutQuery(steps=steps, include_weak=True)
     )
 
     # The pre-facade planner loop, restated over a raw session.

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.api import AnalysisService, DefenseEvalQuery
 from repro.core import ActFort
 from repro.core.tdg import TransformationDependencyGraph
 from repro.defense.builtin_auth import BuiltinAuthService, BuiltinAuthUpgrade
-from repro.defense.evaluation import DefenseEvaluation, outcome_rows
+from repro.defense.evaluation import outcome_rows
 from repro.defense.hardening import EmailHardening, SymmetryRepair
 from repro.defense.masking_policy import UnifiedMaskingPolicy
 from repro.model.attacker import AttackerProfile
@@ -155,10 +156,16 @@ class TestBuiltinAuthUpgrade:
             BuiltinAuthUpgrade(adoption=1.5)
 
 
+def _ablation(ecosystem, attacker=None):
+    """One attacker's ablation row: baseline, each defense, combined."""
+    service = AnalysisService(ecosystem, attacker=attacker)
+    return service.execute(DefenseEvalQuery()).row(service.primary_attacker)
+
+
 class TestDefenseEvaluation:
     @pytest.fixture(scope="class")
     def outcomes(self, default_ecosystem):
-        return DefenseEvaluation(default_ecosystem).evaluate()
+        return _ablation(default_ecosystem)
 
     def test_labels(self, outcomes):
         labels = [o.label for o in outcomes]
@@ -204,7 +211,10 @@ class TestDefenseEvaluation:
             "baseline": AttackerProfile.baseline(),
             "se_database": AttackerProfile.with_se_database(),
         }
-        grid = DefenseEvaluation(default_ecosystem).evaluate_attackers(profiles)
+        result = AnalysisService(default_ecosystem, attackers=profiles).execute(
+            DefenseEvalQuery(attackers=tuple(profiles))
+        )
+        grid = {label: result.row(label) for label in profiles}
         assert set(grid) == set(profiles)
         assert [o.label for o in grid["baseline"]] == [
             o.label for o in outcomes
@@ -212,9 +222,7 @@ class TestDefenseEvaluation:
         for batched, solo in zip(grid["baseline"], outcomes):
             assert batched.pav_size == solo.pav_size
             assert batched.dependency == solo.dependency
-        se_solo = DefenseEvaluation(
-            default_ecosystem, attacker=profiles["se_database"]
-        ).evaluate()
+        se_solo = _ablation(default_ecosystem, profiles["se_database"])
         for batched, solo in zip(grid["se_database"], se_solo):
             assert batched.label == solo.label
             assert batched.pav_size == solo.pav_size

@@ -9,12 +9,11 @@ determinism, and the catalog builder's explicit-rng reproducibility.
 
 import pytest
 
-from repro.analysis.measurement import MeasurementStudy
+from repro.api import AnalysisService, MeasurementQuery, RolloutQuery
 from repro.catalog.builder import CatalogBuilder
 from repro.catalog.spec import CatalogSpec
 from repro.core.actfort import ActFort
 from repro.core.tdg import TransformationDependencyGraph
-from repro.defense.evaluation import DefenseEvaluation
 from repro.defense.hardening import EmailHardening, SymmetryRepair
 from repro.dynamic import (
     AddAuthPath,
@@ -28,7 +27,6 @@ from repro.dynamic import (
     email_hardening_rollout,
     symmetry_repair_rollout,
 )
-from repro.dynamic.rollout import RolloutPlanner
 from repro.model.account import AuthPurpose, MaskSpec
 from repro.model.attacker import AttackerProfile
 from repro.model.factors import CredentialFactor as CF
@@ -271,8 +269,9 @@ class TestRollout:
         eco = small_ecosystem(size=24, seed=13)
         steps = email_hardening_rollout(eco)
         assert steps, "expected at least one email provider to harden"
-        planner = RolloutPlanner(eco, include_weak=True)
-        trajectory = planner.replay(steps)
+        trajectory = AnalysisService(eco).execute(
+            RolloutQuery(steps=steps, include_weak=True)
+        )
         assert len(trajectory.points) == len(steps) + 1
         assert trajectory.baseline.step == "baseline"
         assert trajectory.baseline.weak_edges is not None
@@ -304,7 +303,7 @@ class TestRollout:
 
     def test_evaluate_rollout_default_plan(self):
         eco = small_ecosystem(size=20, seed=19)
-        trajectory = DefenseEvaluation(eco).evaluate_rollout()
+        trajectory = AnalysisService(eco).execute(RolloutQuery())
         assert trajectory.points[0].step == "baseline"
         assert len(trajectory.points) >= 2
         # Hardening only ever adds factors, so the web SAFE fraction is
@@ -324,11 +323,14 @@ class TestMeasurementSession:
     def test_run_session_equals_from_scratch_measurement(self):
         session = DynamicAnalysisSession(small_ecosystem(size=20, seed=23))
         stream = MutationStream(seed=29)
-        study = MeasurementStudy()
         for _ in range(6):
             session.mutate(stream.next_mutation(session.ecosystem))
-        incremental = study.run_session(session)
-        oracle = study.run_on_ecosystem(session.ecosystem)
+        incremental = AnalysisService.from_session(session).execute(
+            MeasurementQuery()
+        )
+        oracle = AnalysisService(session.ecosystem).execute(
+            MeasurementQuery()
+        )
         assert incremental == oracle
 
 

@@ -300,13 +300,13 @@ class TestSwallowedException:
     def test_handler_that_reports_is_clean(self):
         source = textwrap.dedent(
             """
-            def handle(request, audit, dlq):
+            def handle(request, audit, reply):
                 try:
                     apply(request)
                 except ValueError as exc:
                     audit.record("rejected", error=str(exc))
                 except Exception as exc:
-                    dlq.add(request, exc)
+                    reply.fail(exc)
                     raise
             """
         )
@@ -396,6 +396,77 @@ class TestBarePrint:
             """
         )
         assert lint.check_source(source, path=self.CLI_PATH) == []
+
+
+class TestDeprecationShim:
+    PACKAGE_PATH = "src/repro/analysis/measurement.py"
+
+    def test_flags_deprecation_warning_in_the_package(self):
+        source = textwrap.dedent(
+            """
+            import warnings
+
+            def run_study(ecosystem):
+                warnings.warn("use the facade", DeprecationWarning)
+                return measure(ecosystem)
+            """
+        )
+        findings = lint.check_source(source, path=self.PACKAGE_PATH)
+        assert [f.code for f in findings] == ["deprecation-shim"]
+        assert findings[0].line == 5
+
+    def test_flags_attribute_and_subclass_forms(self):
+        source = textwrap.dedent(
+            """
+            import warnings
+
+            class LegacyWarning(DeprecationWarning):
+                pass
+
+            def old(x):
+                warnings.warn("old", category=warnings.DeprecationWarning)
+                return x
+            """
+        )
+        findings = lint.check_source(source, path=self.PACKAGE_PATH)
+        assert [f.code for f in findings] == [
+            "deprecation-shim",
+            "deprecation-shim",
+        ]
+
+    def test_other_warnings_and_paths_outside_the_package_are_clean(self):
+        other = textwrap.dedent(
+            """
+            import warnings
+
+            def lossy(x):
+                warnings.warn("rounded", RuntimeWarning)
+                return round(x)
+            """
+        )
+        assert lint.check_source(other, path=self.PACKAGE_PATH) == []
+        deprecation = textwrap.dedent(
+            """
+            import warnings
+
+            def test_filter():
+                warnings.simplefilter("error", DeprecationWarning)
+            """
+        )
+        for path in ("tests/test_analysis.py", "tools/lint.py"):
+            assert lint.check_source(deprecation, path=path) == []
+
+    def test_noqa_suppresses(self):
+        source = textwrap.dedent(
+            """
+            import warnings
+
+            def old(x):
+                warnings.warn("old", DeprecationWarning)  # noqa: external
+                return x
+            """
+        )
+        assert lint.check_source(source, path=self.PACKAGE_PATH) == []
 
 
 def test_repository_is_lint_clean():

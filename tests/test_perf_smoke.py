@@ -9,11 +9,8 @@ memoization), not on a slow CI machine.  The real old-vs-new trajectory
 lives in ``benchmarks/test_bench_scaling.py``.
 """
 
-import os
 import statistics
 import time
-
-import pytest
 
 from repro.api import (
     AnalysisService,
@@ -27,7 +24,6 @@ from repro.catalog.spec import CatalogSpec
 from repro.core import ActFort
 from repro.dynamic import DynamicAnalysisSession, MutationStream
 from repro.dynamic.churn import measure_serve_comparison
-from repro.dynamic.parallel import build_reports
 from repro.model.factors import Platform
 
 #: Generous wall-clock ceiling for the full 201-service analysis.
@@ -392,60 +388,6 @@ def test_query_after_mutation_beats_fixpoint_recompute_5x_at_402():
         f"query after mutation {last[0] * 1e3:.2f}ms vs fixpoint "
         f"recompute {last[1] * 1e3:.2f}ms: best speedup over 3 rounds "
         f"{best:.1f}x < {REQUIRED_SERVE_SPEEDUP:.0f}x"
-    )
-
-
-#: The parallel cold build's contract: sharding the stage-1/2 report
-#: pipeline across a process pool must beat the serial loop decisively
-#: on a multi-core host (single-core hosts skip; the pool degrades to
-#: the serial path there by construction).
-REQUIRED_POOL_SPEEDUP = 2.0
-
-#: CI-sized pool tier: big enough that per-profile pipeline work
-#: dominates fork+IPC overhead, small enough for a smoke test.
-POOL_TIER_SERVICES = 2000
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="pool speedup needs a multi-core host",
-)
-def test_parallel_cold_build_is_2x_faster_on_multicore():
-    """The process-pool cold build's tripwire.
-
-    Times only what the pool shards -- the attacker-independent stage-1/2
-    report pipeline via :func:`repro.dynamic.parallel.build_reports` --
-    serial vs one-worker-per-CPU, and checks the merged dicts are
-    identical (same reports, same insertion order: the id-space
-    contract).
-    """
-    ecosystem = CatalogBuilder(
-        CatalogSpec(total_services=POOL_TIER_SERVICES), seed=2021
-    ).build_ecosystem()
-    profiles = list(ecosystem)
-
-    start = time.perf_counter()
-    serial_auth, serial_coll, serial_stats = build_reports(profiles)
-    serial = time.perf_counter() - start
-    assert not serial_stats.pooled
-
-    start = time.perf_counter()
-    pooled_auth, pooled_coll, pooled_stats = build_reports(
-        profiles, workers=-1
-    )
-    pooled = time.perf_counter() - start
-    assert pooled_stats.pooled
-
-    assert list(pooled_auth) == list(serial_auth)
-    assert pooled_auth == serial_auth
-    assert list(pooled_coll) == list(serial_coll)
-    assert pooled_coll == serial_coll
-
-    speedup = serial / pooled if pooled else float("inf")
-    assert speedup >= REQUIRED_POOL_SPEEDUP, (
-        f"serial stage-1/2 build {serial * 1e3:.0f}ms vs pooled "
-        f"({pooled_stats.workers} workers) {pooled * 1e3:.0f}ms: "
-        f"speedup {speedup:.1f}x < {REQUIRED_POOL_SPEEDUP:.0f}x"
     )
 
 

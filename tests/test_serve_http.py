@@ -5,9 +5,9 @@ One server on an ephemeral port serves every test in this module; tests
 isolate by tenant.  Covers the serving tier's acceptance path
 end-to-end: query -> mutate -> re-query -> paginate across the mutation,
 snapshot migration onto a fresh shard while a second tenant keeps
-serving, admission overflow (429 + ``Retry-After``), and the mutation
-dead-letter queue with its audit trail.  ``make serve-check`` runs
-exactly this file.
+serving, admission overflow (429 + ``Retry-After``), and rejected
+mutations with their audit trail.  ``make serve-check`` runs this file
+together with the shard/audit unit tests.
 """
 
 from __future__ import annotations
@@ -50,12 +50,7 @@ def _request(url, method="GET", body=None, timeout=30.0):
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     audit_path = tmp_path_factory.mktemp("serve") / "audit.ndjson"
-    config = ServeConfig(
-        mutation_retries=2,
-        retry_backoff_base=0.01,
-        retry_backoff_cap=0.05,
-        audit_path=str(audit_path),
-    )
+    config = ServeConfig(audit_path=str(audit_path))
     with AnalysisServer(config=config) as tier:
         tier.audit_path = audit_path
         yield tier
@@ -175,7 +170,6 @@ class TestQueryMutateRequery:
         assert status == 200
         assert receipt["outcome"] == "applied"
         assert receipt["version"] == 1
-        assert receipt["attempts"] == 1
 
         status, after, _ = _request(
             f"{base}/query", method="POST", body={"kind": "measurement"}
@@ -194,7 +188,7 @@ class TestQueryMutateRequery:
         assert page2["data"]["cursor"] == cursor
         assert page2["data"]["records"] != page1["data"]["records"]
 
-    def test_malformed_documents_are_400_never_dead_lettered(self, url):
+    def test_malformed_documents_are_400_and_never_reach_a_shard(self, url):
         tenant = "acme-bad"
         _create(url, tenant, "main")
         base = f"{url}/v1/{tenant}/sessions/main"
@@ -211,75 +205,49 @@ class TestQueryMutateRequery:
             )
             assert status == 400, (path, body, payload)
 
-        status, payload, _ = _request(f"{url}/v1/{tenant}/dead-letters")
-        assert status == 200 and payload["dead_letters"] == []
+        # Rejected at the edge: no shard applied (or audited) anything.
+        status, payload, _ = _request(f"{url}/v1/{tenant}/audit")
+        assert status == 200 and payload["entries"] == []
 
 
-class TestDeadLetterQueue:
-    def test_retry_exhaustion_dead_letters_then_requeue_and_cancel(
-        self, server, url
-    ):
-        tenant = "dlq"
+class TestMutationErrors:
+    def test_unknown_service_removal_is_404_applied_once(self, server, url):
+        """A client mistake is rejected once, as a client error: 404, one
+        ``rejected`` audit record, and a session left untouched."""
+        tenant = "rejects"
         _create(url, tenant, "main")
         base = f"{url}/v1/{tenant}/sessions/main"
 
-        poison = {"kind": "remove_service", "service": "no-such-service"}
         status, payload, _ = _request(
-            f"{base}/mutations", method="POST", body=poison
-        )
-        assert status == 500
-        assert payload["outcome"] == "dead_lettered"
-        entry = payload["dead_letter"]
-        assert entry["state"] == "dead"
-        assert entry["attempts"] == 3  # 1 initial + 2 retries
-        assert "no-such-service" in entry["error"]
-
-        status, listing, _ = _request(f"{url}/v1/{tenant}/dead-letters")
-        assert status == 200
-        assert [e["id"] for e in listing["dead_letters"]] == [entry["id"]]
-
-        # Requeue: still-failing mutation chains a NEW entry.
-        status, payload, _ = _request(
-            f"{url}/v1/{tenant}/dead-letters/{entry['id']}/requeue",
+            f"{base}/mutations",
             method="POST",
-        )
-        assert status == 200
-        assert payload["outcome"] == "dead_lettered"
-        second = payload["dead_letter"]
-        assert second["id"] != entry["id"]
-        assert second["retried_from"] == entry["id"]
-
-        status, listing, _ = _request(f"{url}/v1/{tenant}/dead-letters")
-        states = {
-            e["id"]: e["state"] for e in listing["dead_letters"]
-        }
-        assert states == {entry["id"]: "requeued", second["id"]: "dead"}
-
-        status, payload, _ = _request(
-            f"{url}/v1/{tenant}/dead-letters/{second['id']}/cancel",
-            method="POST",
-        )
-        assert status == 200 and payload["state"] == "cancelled"
-
-        status, payload, _ = _request(
-            f"{url}/v1/{tenant}/dead-letters/dl-999/requeue", method="POST"
+            body={"kind": "remove_service", "service": "no-such-service"},
         )
         assert status == 404, payload
+        assert "no-such-service" in payload["error"]
+
+        status, info, _ = _request(base)
+        assert status == 200 and info["version"] == 0
+
+        status, receipt, _ = _request(
+            f"{base}/mutations",
+            method="POST",
+            body={"kind": "apply_hardening", "defense": "unified_masking"},
+        )
+        assert status == 200, receipt
+        assert receipt["version"] == 1
 
         # The audit NDJSON file carries the whole story for this tenant.
         records = [
             json.loads(line)
             for line in server.audit_path.read_text().splitlines()
         ]
-        outcomes = [
-            r["outcome"] for r in records if r["tenant"] == tenant
-        ]
-        assert outcomes == [
-            "dead_lettered",  # original exhaustion
-            "requeued",  # operator requeue
-            "dead_lettered",  # repeat failure -> chained entry
-            "cancelled",  # operator cancel
-        ]
+        mine = [r for r in records if r["tenant"] == tenant]
+        assert [r["outcome"] for r in mine] == ["rejected", "applied"]
+        rejected = mine[0]
+        assert "no-such-service" in rejected["error"]
+        assert "version" not in rejected
+        assert "attempts" not in rejected
 
     def test_audit_endpoint_serves_the_tail(self, url):
         tenant = "audited"
@@ -298,6 +266,9 @@ class TestDeadLetterQueue:
         assert entries[0]["outcome"] in ("applied", "noop")
         assert entries[0]["mutation"]["kind"] == "apply_hardening"
         assert entries[0]["session"] == "main"
+
+        status, payload, _ = _request(f"{url}/v1/{tenant}/audit?tail=0")
+        assert (status, payload["entries"]) == (200, [])
 
 
 class TestMigration:
@@ -406,12 +377,9 @@ class TestMigration:
 class TestAdmissionControl:
     def test_overflow_is_429_with_retry_after(self):
         """With a 1-slot, 0-queue gate, a request arriving while a slow
-        dead-lettering mutation holds the slot is rejected immediately
-        with ``Retry-After`` -- and other tenants are unaffected."""
+        cold session build holds the slot is rejected immediately with
+        ``Retry-After`` -- and other tenants are unaffected."""
         config = ServeConfig(
-            mutation_retries=2,
-            retry_backoff_base=0.3,
-            retry_backoff_cap=0.6,
             max_concurrent_per_tenant=1,
             max_queue_per_tenant=0,
             retry_after_seconds=2.5,
@@ -423,20 +391,21 @@ class TestAdmissionControl:
 
             slow_result = {}
 
-            def slow_mutation():
+            def slow_build():
                 slow_result["response"] = _request(
-                    f"{url}/v1/busy/sessions/main/mutations",
+                    f"{url}/v1/busy/sessions",
                     method="POST",
-                    body={"kind": "remove_service", "service": "ghost"},
+                    body={"name": "big", "services": 1000},
+                    timeout=120.0,
                 )
 
-            worker = threading.Thread(target=slow_mutation, daemon=True)
+            worker = threading.Thread(target=slow_build, daemon=True)
             worker.start()
 
             # Wait (via the admission-free infrastructure route) until
-            # the mutation actually holds busy's only slot; polling the
+            # the build actually holds busy's only slot; polling the
             # tenant route here would steal the slot and reject the
-            # mutation instead.
+            # build instead.
             for _ in range(500):
                 status, snapshot, _ = _request(f"{url}/observability")
                 assert status == 200
@@ -458,10 +427,10 @@ class TestAdmissionControl:
             status, _payload, _ = _request(f"{url}/v1/calm/sessions/main")
             assert status == 200
 
-            worker.join(timeout=30.0)
+            worker.join(timeout=120.0)
             status, payload, _ = slow_result["response"]
-            assert status == 500
-            assert payload["outcome"] == "dead_lettered"
+            assert status == 201, payload
+            assert payload["services"] == 1000
 
             # Rejections surfaced on the serve-tier metrics.
             status, text, _ = _request(f"{url}/metrics")

@@ -46,8 +46,12 @@ unambiguously dead:
   (``src/repro/serve/``) whose body does nothing (only ``pass``,
   ``...`` or a bare string).  Serve-layer failure paths must surface
   somewhere an operator can see -- re-raise, reply with an error,
-  write an audit record, or dead-letter the mutation; silently eating
-  the exception drops a tenant's request on the floor.
+  or write an audit record; silently eating the exception drops a
+  tenant's request on the floor.
+- **deprecation-shim**: any reference to ``DeprecationWarning`` in the
+  package (``src/repro/``).  Every caller of the package lives in this
+  repository, so an entry point that has a replacement is deleted and
+  its callers moved, not kept behind a warning.
 
 A trailing ``# noqa`` comment on the offending line suppresses any
 finding.  Exit status is non-zero when anything is reported::
@@ -423,8 +427,34 @@ def _swallowed_exception_findings(
             node.lineno,
             "swallowed-exception",
             f"handler catches {caught} and does nothing; serve-layer "
-            "failure paths must re-raise, reply with an error, audit, "
-            "or dead-letter",
+            "failure paths must re-raise, reply with an error, or audit",
+        )
+
+
+def _deprecation_shim_applies(path: str) -> bool:
+    """The deprecation-shim rule covers the package under ``src/repro/``."""
+    parts = re.split(r"[\\/]", path)
+    return "src" in parts and "repro" in parts
+
+
+def _deprecation_shim_findings(
+    tree: ast.Module, noqa: Set[int], path: str
+) -> Iterable[Finding]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name != "DeprecationWarning" or node.lineno in noqa:
+            continue
+        yield Finding(
+            path,
+            node.lineno,
+            "deprecation-shim",
+            "DeprecationWarning in the package; every caller is in this "
+            "repository, so move them and delete the old entry point",
         )
 
 
@@ -449,6 +479,9 @@ def check_source(source: str, path: str = "<string>") -> List[Finding]:
         findings.extend(
             _swallowed_exception_findings(tree, noqa, path)
         )
+
+    if _deprecation_shim_applies(path):
+        findings.extend(_deprecation_shim_findings(tree, noqa, path))
 
     loaded_anywhere = _loaded_names(tree)
     exported = _dunder_all(tree)
