@@ -1,11 +1,12 @@
 """The version-keyed result cache behind :class:`~repro.api.service.AnalysisService`.
 
 Entries are keyed by ``(canonical query key, session version)``: a
-mutation bumps the version, so stale results are never *returned* -- they
-simply stop being addressable and age out of the LRU bound.  Repeated
-queries at an unchanged version are O(1) dictionary hits, which is the
-contract the ``api_serve`` benchmark tier and the perf-smoke gate
-measure.
+mutation bumps the version, so stale results are never *returned*.
+Every caller reads at the session's current version, so the first
+``put`` at a newer version drops all older entries at once; the LRU
+bound only ever limits the entries of one version.  Repeated queries at
+an unchanged version are O(1) dictionary hits, which is the contract the
+``api_serve`` benchmark tier and the perf-smoke gate measure.
 
 Counters live on the owning :class:`~repro.obs.Instrumentation` handle's
 registry (``repro_result_cache_*``); :meth:`ResultCache.stats` is the
@@ -51,6 +52,7 @@ class ResultCache:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self._max_entries = max_entries
+        self._newest_version = -1
         self._entries: "OrderedDict[Tuple[Hashable, int], Any]" = OrderedDict()
         obs = instrumentation if instrumentation is not None else Instrumentation()
         self._hits = obs.counter(
@@ -63,7 +65,7 @@ class ResultCache:
         )
         self._evictions = obs.counter(
             "repro_result_cache_evictions_total",
-            "Entries dropped past the LRU bound (stale versions typical).",
+            "Entries dropped past the LRU bound.",
         )
         self._entries_gauge = obs.gauge(
             "repro_result_cache_entries",
@@ -85,8 +87,15 @@ class ResultCache:
         return (key, version) in self._entries
 
     def put(self, key: Hashable, version: int, value: Any) -> None:
-        """Store one result, evicting the least recently used beyond the
-        bound (old-version entries are the typical victims)."""
+        """Store one result, dropping every older version's entries when
+        ``version`` is new and evicting the least recently used beyond
+        the bound."""
+        if version > self._newest_version:
+            # No entry is at ``version`` or newer yet, so this drops
+            # exactly the older versions; it is not LRU pressure, so it
+            # is not counted as eviction.
+            self._entries.clear()
+            self._newest_version = version
         self._entries[(key, version)] = value
         self._entries.move_to_end((key, version))
         while len(self._entries) > self._max_entries:

@@ -29,10 +29,12 @@ Route map (all bodies JSON)::
 Error contract: malformed/unknown documents are 400, unknown
 sessions/services are 404, session-name collisions are 409, admission
 overflow is 429 with ``Retry-After``, and any other failure is a 500.
-A mutation is applied exactly once -- the engines are deterministic, so
-a retry could only fail again -- and its exception maps through the same
-table: ``ValueError``/``TypeError`` are 400, ``KeyError`` (e.g. removing
-an unknown service) is 404.  Every mutation, rejected ones included,
+A negative or non-integer ``Content-Length`` is 400 and closes the
+connection, since the request's end is then unknown.  A mutation is
+applied exactly once -- the engines are deterministic, so a retry could
+only fail again -- and its exception maps through the same table:
+``ValueError``/``TypeError`` are 400, ``KeyError`` (e.g. removing an
+unknown service) is 404.  Every mutation, rejected ones included,
 leaves one audit record, so a failure is never swallowed.
 """
 
@@ -252,7 +254,17 @@ class AnalysisServer:
 
     @staticmethod
     def _read_body(handler: BaseHTTPRequestHandler) -> Optional[Dict]:
-        length = int(handler.headers.get("Content-Length") or 0)
+        declared = handler.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Where this body ends is unknowable, so its bytes cannot be
+            # skipped: answer and close rather than parse them as the
+            # next request (or block in ``read(-1)`` until EOF).
+            handler.close_connection = True
+            raise _HTTPError(400, f"invalid Content-Length {declared!r}")
         if length == 0:
             return None
         raw = handler.rfile.read(length)
@@ -268,15 +280,27 @@ class AnalysisServer:
     def _send(
         handler: BaseHTTPRequestHandler, response: _Response
     ) -> None:
+        # One write per response.  Written as two (head, then body), the
+        # body waits under Nagle's algorithm for the client's ACK of the
+        # head, which a keep-alive client delays ~40 ms.
         body = response.body()
+        headers = {
+            "Server": handler.version_string(),
+            "Date": handler.date_time_string(),
+            "Content-Type": response.content_type,
+            "Content-Length": str(len(body)),
+            **response.headers,
+        }
+        if handler.close_connection:
+            headers["Connection"] = "close"
+        reason = handler.responses.get(response.status, ("",))[0]
+        head = "".join(
+            [f"{handler.protocol_version} {response.status} {reason}\r\n"]
+            + [f"{name}: {value}\r\n" for name, value in headers.items()]
+            + ["\r\n"]
+        )
         try:
-            handler.send_response(response.status)
-            handler.send_header("Content-Type", response.content_type)
-            handler.send_header("Content-Length", str(len(body)))
-            for name, value in response.headers.items():
-                handler.send_header(name, value)
-            handler.end_headers()
-            handler.wfile.write(body)
+            handler.wfile.write(head.encode("latin-1") + body)
         except (BrokenPipeError, ConnectionResetError):
             # The client hung up mid-response; the request itself was
             # served (and audited) -- nothing is lost but the reply.

@@ -22,6 +22,7 @@ from repro.api import (
     EdgeSummaryQuery,
     LevelReportQuery,
     MeasurementQuery,
+    ResultCache,
     RolloutQuery,
     WeakEdgeQuery,
 )
@@ -38,6 +39,7 @@ from repro.dynamic.rollout import (
 )
 from repro.model.attacker import AttackerProfile
 from repro.model.factors import Platform
+from repro.obs import Instrumentation
 
 #: Ten seeded ecosystems, as the acceptance criteria demand.
 SEEDS = tuple(range(3001, 3011))
@@ -395,6 +397,30 @@ def test_mutation_bumps_version_and_invalidates_by_construction():
     assert after == reference_measurement(
         service.ecosystem, AttackerProfile.baseline()
     )
+
+
+def test_newer_version_put_drops_older_versions_only():
+    instrumentation = Instrumentation()
+    cache = ResultCache(instrumentation=instrumentation)
+    cache.put("levels", 0, "a0")
+    cache.put("closure", 0, "b0")
+    cache.put("levels", 1, "a1")
+    assert not cache.peek("levels", 0) and not cache.peek("closure", 0)
+    cache.put("closure", 1, "b1")
+    assert cache.entries_at(1) == [("levels", "a1"), ("closure", "b1")]
+    assert cache.stats().entries == 2
+    # Superseded versions are not LRU pressure.
+    assert instrumentation.registry.value(
+        "repro_result_cache_evictions_total"
+    ) == 0
+
+    # Through the facade: a re-query after a mutation leaves only the
+    # current version's entries behind.
+    service = AnalysisService(build_ecosystem(SEEDS[2]))
+    service.execute_batch([LevelReportQuery(), MeasurementQuery()])
+    service.apply(MutationStream(seed=9).next_mutation(service.ecosystem))
+    service.execute(MeasurementQuery())
+    assert service.cache_stats().entries == 1
 
 
 def test_plan_dedupes_identical_queries_and_rejects_stale_plans():

@@ -5,14 +5,18 @@ One server on an ephemeral port serves every test in this module; tests
 isolate by tenant.  Covers the serving tier's acceptance path
 end-to-end: query -> mutate -> re-query -> paginate across the mutation,
 snapshot migration onto a fresh shard while a second tenant keeps
-serving, admission overflow (429 + ``Retry-After``), and rejected
-mutations with their audit trail.  ``make serve-check`` runs this file
-together with the shard/audit unit tests.
+serving, admission overflow (429 + ``Retry-After``), rejected
+mutations with their audit trail, keep-alive latency over one reused
+connection, and body-framing errors on a raw socket.  ``make
+serve-check`` runs this file together with the shard/audit unit tests.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -467,3 +471,78 @@ class TestObservabilityRoutes:
             for entry in tier_snapshot["shards"]
         }
         assert (tenant, "main") in routed
+
+
+class TestKeepAlive:
+    def test_reused_connection_answers_without_a_delayed_ack_stall(
+        self, server, url
+    ):
+        """Over one persistent connection, small and >8 KiB responses
+        both come back in milliseconds.  A head and body written
+        separately wait ~40 ms each for the client's delayed ACK (Nagle);
+        an 8 KiB write buffer still splits any body larger than itself."""
+        tenant = "keepalive"
+        _create(url, tenant, "main")
+        base = f"/v1/{tenant}/sessions/main"
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=30.0)
+
+        def timed(method, path, body=None):
+            start = time.perf_counter()
+            connection.request(
+                method, path, body=json.dumps(body) if body else None
+            )
+            response = connection.getresponse()
+            payload = response.read()
+            elapsed = time.perf_counter() - start
+            assert response.status == 200, payload
+            return elapsed, payload
+
+        try:
+            # Run a batch first so the session's observability snapshot
+            # carries every engine layer's metrics.
+            timed(
+                "POST",
+                f"{base}/batch",
+                {
+                    "queries": [
+                        {"kind": "level_report"},
+                        {"kind": "measurement"},
+                        {"kind": "closure"},
+                    ]
+                },
+            )
+            for path, large in (
+                ("/health", False),
+                (f"{base}/observability", True),
+            ):
+                samples = [timed("GET", path) for _ in range(12)]
+                assert (len(samples[-1][1]) > 8192) is large, path
+                median_ms = statistics.median(
+                    elapsed for elapsed, _ in samples
+                ) * 1e3
+                assert median_ms < 20.0, (path, median_ms)
+        finally:
+            connection.close()
+
+
+class TestBodyFraming:
+    @pytest.mark.parametrize("length", [b"-1", b"twelve"])
+    def test_invalid_content_length_is_400_and_closes(self, server, length):
+        """A length that does not frame a body answers one 400 and closes
+        the connection: the server neither waits for EOF (``read(-1)``)
+        nor parses the bytes behind it as a pipelined request."""
+        smuggled = b"GET /health HTTP/1.1\r\nHost: localhost\r\n\r\n"
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /v1/framing/sessions HTTP/1.1\r\n"
+                b"Host: localhost\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n" + smuggled
+            )
+            # Read until the server closes; a timeout means it never did.
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+        assert b"Connection: close\r\n" in reply
