@@ -13,6 +13,10 @@ equivalence oracle for the indexed engine in :mod:`repro.core.tdg`:
   dependency-level fractions.
 - ``benchmarks/test_bench_scaling.py`` times this class against the indexed
   engine to report the old-vs-new trajectory.
+- :meth:`ReferenceTDG.forward_closure` restates the PAV fixpoint of
+  :mod:`repro.core.strategy` as a full scan per round with every factor
+  source re-derived from the node postings; ``tests/test_closure_oracle.py``
+  checks scratch and resumed closures against it.
 
 Do not optimize this module; its only job is to stay slow and right.
 """
@@ -27,6 +31,7 @@ from repro.core.index import (
     DOSSIER_THRESHOLD,
     MASKABLE_FACTORS,
 )
+from repro.core.strategy import ClosureEntry, ForwardClosureResult
 from repro.core.tdg import (
     CoupleRecord,
     DependencyLevel,
@@ -532,4 +537,160 @@ class ReferenceTDG:
     def fringe_nodes(self) -> FrozenSet[str]:
         return frozenset(
             service for service in self._nodes if self.is_direct(service)
+        )
+
+    # ------------------------------------------------------------------
+    # Forward closure (OAAS -> PAV), the strategy engine's oracle
+    # ------------------------------------------------------------------
+
+    def forward_closure(
+        self,
+        initially_compromised: Iterable[str] = (),
+        extra_info: Iterable[PersonalInfoKind] = (),
+        email_provider: Optional[str] = None,
+    ) -> ForwardClosureResult:
+        """The PAV fixpoint of
+        :meth:`~repro.core.strategy.StrategyEngine.forward_closure`, every
+        round a full scan and every factor source re-derived from the
+        node postings (no memo, no index, no resume)."""
+        info: Set[PersonalInfoKind] = set(self._attacker.known_info)
+        info |= set(extra_info)
+        compromised: Dict[str, ClosureEntry] = {}
+        for name in initially_compromised:
+            node = self._nodes[name]
+            compromised[name] = ClosureEntry(
+                service=name,
+                round=0,
+                path=node.takeover_paths[0] if node.takeover_paths else None,
+                factor_sources={},
+            )
+            info |= node.pia
+        entries: List[ClosureEntry] = list(compromised.values())
+        round_number = 0
+        while True:
+            round_number += 1
+            pre_info = frozenset(info)
+            pre_compromised = frozenset(compromised)
+            fallen: List[ClosureEntry] = []
+            for node in self._nodes.values():
+                if node.service in compromised:
+                    continue
+                takeover = self._closure_takeover(
+                    node, pre_info, pre_compromised, email_provider
+                )
+                if takeover is not None:
+                    fallen.append(
+                        ClosureEntry(
+                            service=node.service,
+                            round=round_number,
+                            path=takeover[0],
+                            factor_sources=takeover[1],
+                        )
+                    )
+            if not fallen:
+                break
+            for entry in fallen:
+                compromised[entry.service] = entry
+                entries.append(entry)
+                info |= self._nodes[entry.service].pia
+        return ForwardClosureResult(
+            entries=tuple(entries),
+            safe=frozenset(self._nodes) - compromised.keys(),
+            final_info=frozenset(info),
+        )
+
+    def _closure_takeover(
+        self,
+        node: TDGNode,
+        info: FrozenSet[PersonalInfoKind],
+        compromised: FrozenSet[str],
+        email_provider: Optional[str],
+    ) -> Optional[Tuple[AuthPath, Dict[CredentialFactor, str]]]:
+        """The shortest fully sourced path (first wins a tie) with its
+        provenance, or ``None``."""
+        best: Optional[Tuple[AuthPath, Dict[CredentialFactor, str]]] = None
+        for path in node.takeover_paths:
+            sources: Dict[CredentialFactor, str] = {}
+            for factor in path.factors:
+                if factor in self._innate:
+                    continue
+                source = self._closure_source(
+                    factor, path, info, compromised, email_provider
+                )
+                if source is None:
+                    break
+                sources[factor] = source
+            else:
+                if best is None or len(path.factors) < len(best[0].factors):
+                    best = (path, sources)
+        return best
+
+    def _closure_source(
+        self,
+        factor: CredentialFactor,
+        path: AuthPath,
+        info: FrozenSet[PersonalInfoKind],
+        compromised: FrozenSet[str],
+        email_provider: Optional[str],
+    ) -> Optional[str]:
+        """Which compromised service supplies ``factor`` to ``path``."""
+        capabilities = self._attacker.capabilities
+        if factor is CredentialFactor.LINKED_ACCOUNT:
+            for provider in sorted(path.linked_providers):
+                if provider in compromised:
+                    return provider
+            return None
+        if factor in (CredentialFactor.EMAIL_CODE, CredentialFactor.EMAIL_LINK):
+            if AttackerCapability.EMAIL_CHANNEL_AFTER_COMPROMISE not in capabilities:
+                return None
+            if email_provider is not None:
+                return email_provider if email_provider in compromised else None
+            if PersonalInfoKind.MAILBOX_ACCESS not in info:
+                return None
+            return self._first_holder(PersonalInfoKind.MAILBOX_ACCESS, compromised)
+        if factor is CredentialFactor.CUSTOMER_SERVICE:
+            if AttackerCapability.SOCIAL_ENGINEERING not in capabilities:
+                return None
+            dossier = [kind for kind in info if kind in DOSSIER_KINDS]
+            if len(dossier) < DOSSIER_THRESHOLD:
+                return None
+            canonical = min(dossier, key=lambda kind: kind.value)
+            return self._first_holder(canonical, compromised) or "<dossier>"
+        if factor_satisfied_by_info(factor, info):
+            for kind in sorted(info, key=lambda kind: kind.value):
+                if factor_satisfied_by_info(factor, {kind}):
+                    holder = self._first_holder(kind, compromised)
+                    if holder is not None:
+                        return holder
+            return "<attacker-profile>"
+        maskable = MASKABLE_FACTORS.get(factor)
+        if maskable is None:
+            return None
+        # Insight 4: greedy cover by the widest masked views, ties by name.
+        kind, length = maskable
+        views = sorted(
+            (
+                (name, self._nodes[name].pia_partial.get(kind, frozenset()))
+                for name in compromised
+                if name != path.service
+            ),
+            key=lambda view: (-len(view[1]), view[0]),
+        )
+        covered: Set[int] = set()
+        chosen: List[str] = []
+        for name, positions in views:
+            if positions - covered:
+                covered |= positions
+                chosen.append(name)
+                if len(covered) >= length:
+                    return "+".join(sorted(chosen))
+        return None
+
+    def _first_holder(
+        self, kind: PersonalInfoKind, compromised: FrozenSet[str]
+    ) -> Optional[str]:
+        """The alphabetically first compromised service exposing ``kind``."""
+        return min(
+            (name for name in compromised if kind in self._nodes[name].pia),
+            default=None,
         )

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
+from repro.core.index import MASKABLE_FACTORS
 from repro.core.tdg import (
     DOSSIER_KINDS,
     DOSSIER_THRESHOLD,
@@ -160,6 +161,132 @@ class ClosureSupportRecord:
         return ()
 
 
+#: :meth:`ProvenanceTable.source` answer for a maskable factor the IAD does
+#: not satisfy: the source is an Insight-4 combining cover, which depends
+#: on the tested path (its own service's masked view cannot contribute).
+_COMBINED = object()
+
+
+class ProvenanceTable:
+    """The provenance lookups of one closure round, memoised.
+
+    Built from the round's pre-state -- the IAD ``info``, the
+    ``compromised`` names and the pinned ``email_provider`` -- and shared
+    by every takeover test of the round.  Every answer it memoises
+    depends only on that pre-state and the factor; the two path-dependent
+    parts stay with the caller (:meth:`StrategyEngine._factor_source`):
+    ``LINKED_ACCOUNT`` and the combining cover's exclusion of the tested
+    service.  Each lookup runs at most once per table:
+
+    - the alphabetically first compromised holder of each info kind;
+    - the source of each path-independent factor (info-satisfied, email
+      and customer-service factors), or :data:`_COMBINED`;
+    - each maskable factor's compromised masked-view holders ranked by
+      ``(-len(positions), name)``, the greedy cover's walk order.
+    """
+
+    __slots__ = (
+        "info",
+        "compromised",
+        "_tdg",
+        "_email_provider",
+        "_sorted_info",
+        "_holders",
+        "_sources",
+        "_views",
+    )
+
+    def __init__(
+        self,
+        tdg: TransformationDependencyGraph,
+        info: FrozenSet[PersonalInfoKind],
+        compromised: FrozenSet[str],
+        email_provider: Optional[str] = None,
+    ) -> None:
+        self.info = info
+        self.compromised = compromised
+        self._tdg = tdg
+        self._email_provider = email_provider
+        self._sorted_info: Optional[Tuple[PersonalInfoKind, ...]] = None
+        self._holders: Dict[PersonalInfoKind, Optional[str]] = {}
+        self._sources: Dict[CredentialFactor, object] = {}
+        self._views: Dict[
+            CredentialFactor, Tuple[Tuple[str, FrozenSet[int]], ...]
+        ] = {}
+
+    def holder(self, kind: PersonalInfoKind) -> Optional[str]:
+        """The alphabetically first compromised service exposing ``kind``."""
+        if kind not in self._holders:
+            holders = self._tdg.ecosystem_index().holder_set(kind)
+            self._holders[kind] = min(
+                holders & self.compromised, default=None
+            )
+        return self._holders[kind]
+
+    def source(self, factor: CredentialFactor) -> object:
+        """The memoised source of a factor other than ``LINKED_ACCOUNT``:
+        a service name, a synthetic marker, ``None`` (unsatisfiable this
+        round) or :data:`_COMBINED`."""
+        try:
+            return self._sources[factor]
+        except KeyError:
+            source = self._sources[factor] = self._derive_source(factor)
+            return source
+
+    def masked_views(
+        self, factor: CredentialFactor
+    ) -> Tuple[Tuple[str, FrozenSet[int]], ...]:
+        """Compromised holders of a masked view of ``factor``'s value with
+        their revealed positions, widest view first, ties by name."""
+        if factor not in self._views:
+            views = self._tdg.ecosystem_index().partial_by_service[factor]
+            self._views[factor] = tuple(
+                sorted(
+                    (
+                        (name, positions)
+                        for name, positions in views.items()
+                        if name in self.compromised
+                    ),
+                    key=lambda item: (-len(item[1]), item[0]),
+                )
+            )
+        return self._views[factor]
+
+    def _derive_source(self, factor: CredentialFactor) -> object:
+        capabilities = self._tdg.attacker.capabilities
+        info = self.info
+        if factor in (CredentialFactor.EMAIL_CODE, CredentialFactor.EMAIL_LINK):
+            if AttackerCapability.EMAIL_CHANNEL_AFTER_COMPROMISE not in capabilities:
+                return None
+            pinned = self._email_provider
+            if pinned is not None:
+                return pinned if pinned in self.compromised else None
+            if PersonalInfoKind.MAILBOX_ACCESS not in info:
+                return None
+            return self.holder(PersonalInfoKind.MAILBOX_ACCESS)
+        if factor is CredentialFactor.CUSTOMER_SERVICE:
+            if AttackerCapability.SOCIAL_ENGINEERING not in capabilities:
+                return None
+            dossier = info & DOSSIER_KINDS
+            if len(dossier) < DOSSIER_THRESHOLD:
+                return None
+            # Canonical dossier kind: ``next(iter(...))`` would make the
+            # provenance depend on hash-iteration order and break
+            # bit-for-bit closure comparisons across runs.
+            canonical = min(dossier, key=lambda kind: kind.value)
+            return self.holder(canonical) or "<dossier>"
+        if factor_satisfied_by_info(factor, info):
+            if self._sorted_info is None:
+                self._sorted_info = tuple(sorted(info, key=lambda k: k.value))
+            for kind in self._sorted_info:
+                if factor_satisfied_by_info(factor, {kind}):
+                    source = self.holder(kind)
+                    if source is not None:
+                        return source
+            return "<attacker-profile>"
+        return _COMBINED if factor in MASKABLE_FACTORS else None
+
+
 @dataclasses.dataclass(frozen=True)
 class ChainStep:
     """One takeover in an executable attack chain."""
@@ -217,7 +344,6 @@ class StrategyEngine:
 
     def __init__(self, tdg: TransformationDependencyGraph) -> None:
         self._tdg = tdg
-        self._email_provider: Optional[str] = None
 
     @property
     def tdg(self) -> TransformationDependencyGraph:
@@ -260,7 +386,6 @@ class StrategyEngine:
         run per graph state, and post-mutation re-serves cost only the
         retracted cone.
         """
-        self._email_provider = email_provider
         initially_compromised = tuple(initially_compromised)
         extra_info = frozenset(extra_info)
         cache_key = (initially_compromised, extra_info, email_provider)
@@ -275,7 +400,7 @@ class StrategyEngine:
             resumed=record is not None,
         ) as span:
             fresh = self._run_closure(
-                initially_compromised, extra_info, record, span
+                initially_compromised, extra_info, email_provider, record, span
             )
         self._tdg.closure_cache_put(
             cache_key, fresh, resumed=record is not None
@@ -286,6 +411,7 @@ class StrategyEngine:
         self,
         initially_compromised: Tuple[str, ...],
         extra_info: FrozenSet[PersonalInfoKind],
+        email_provider: Optional[str],
         base: Optional[ClosureSupportRecord],
         span=None,
     ) -> ClosureSupportRecord:
@@ -310,7 +436,7 @@ class StrategyEngine:
         # Names whose *information postings* (complete or masked PIA)
         # differ from the record's baseline.  A surviving round may reuse
         # another service's entry only while no such name is compromised:
-        # provenance (`_provider_of_kind`, combining pools) reads the
+        # provenance (first holders, combining pools) reads the
         # PIA postings of compromised accounts, so a changed posting can
         # move provenance even when the round's info/compromised state is
         # unchanged.
@@ -347,11 +473,15 @@ class StrategyEngine:
         round_number = 0
         rounds_reused = 0
         rounds_scanned = 0
+        takeover_tests = 0
         while True:
             round_number += 1
             pre_info = frozenset(info)
             pre_compromised = frozenset(compromised)
             pre_states.append((pre_info, pre_compromised))
+            table = ProvenanceTable(
+                self._tdg, pre_info, pre_compromised, email_provider
+            )
             old_state = (
                 base.pre_state(round_number) if base is not None else None
             )
@@ -376,9 +506,8 @@ class StrategyEngine:
                     node = graph_nodes.get(name)
                     if node is None or name in compromised:
                         continue
-                    takeover = self._try_takeover(
-                        node, pre_info, pre_compromised
-                    )
+                    takeover_tests += 1
+                    takeover = self._try_takeover(node, table)
                     if takeover is not None:
                         retested.append(
                             ClosureEntry(
@@ -403,9 +532,8 @@ class StrategyEngine:
                 for node in self._tdg.nodes:
                     if node.service in compromised:
                         continue
-                    takeover = self._try_takeover(
-                        node, pre_info, pre_compromised
-                    )
+                    takeover_tests += 1
+                    takeover = self._try_takeover(node, table)
                     if takeover is None:
                         continue
                     fallen.append(
@@ -440,6 +568,7 @@ class StrategyEngine:
             span.set_attribute("rounds", round_number)
             span.set_attribute("rounds_reused", rounds_reused)
             span.set_attribute("rounds_scanned", rounds_scanned)
+            span.set_attribute("takeover_tests", takeover_tests)
             span.set_attribute("compromised", len(compromised))
 
         safe = frozenset(graph_nodes) - compromised.keys()
@@ -460,12 +589,10 @@ class StrategyEngine:
         )
 
     def _try_takeover(
-        self,
-        node: TDGNode,
-        info: FrozenSet[PersonalInfoKind],
-        compromised: FrozenSet[str],
+        self, node: TDGNode, table: ProvenanceTable
     ) -> Optional[Tuple[AuthPath, Dict[CredentialFactor, str]]]:
-        """Return (path, provenance) if the node falls to the current IAD."""
+        """Return (path, provenance) if the node falls to the table's
+        pre-state."""
         innate = self._tdg.innate_factors()
         best: Optional[Tuple[AuthPath, Dict[CredentialFactor, str]]] = None
         for path in node.takeover_paths:
@@ -474,9 +601,7 @@ class StrategyEngine:
             for factor in path.factors:
                 if factor in innate:
                     continue
-                source = self._factor_source(
-                    factor, path, info, compromised
-                )
+                source = self._factor_source(factor, path, table)
                 if source is None:
                     ok = False
                     break
@@ -489,100 +614,44 @@ class StrategyEngine:
         self,
         factor: CredentialFactor,
         path: AuthPath,
-        info: FrozenSet[PersonalInfoKind],
-        compromised: FrozenSet[str],
+        table: ProvenanceTable,
     ) -> Optional[str]:
-        """Which compromised service supplies ``factor``, if any."""
-        attacker = self._tdg.attacker
+        """Which compromised service supplies ``factor``, if any.
+
+        Only the two path-dependent answers are derived here; every
+        other source is the round's memoised one.
+        """
         if factor is CredentialFactor.LINKED_ACCOUNT:
             for provider in sorted(path.linked_providers):
-                if provider in compromised:
+                if provider in table.compromised:
                     return provider
             return None
-        if factor in (CredentialFactor.EMAIL_CODE, CredentialFactor.EMAIL_LINK):
-            if (
-                AttackerCapability.EMAIL_CHANNEL_AFTER_COMPROMISE
-                not in attacker.capabilities
-            ):
-                return None
-            pinned = getattr(self, "_email_provider", None)
-            if pinned is not None:
-                return pinned if pinned in compromised else None
-            if PersonalInfoKind.MAILBOX_ACCESS not in info:
-                return None
-            return self._provider_of_kind(
-                PersonalInfoKind.MAILBOX_ACCESS, compromised
-            )
-        if factor is CredentialFactor.CUSTOMER_SERVICE:
-            if (
-                AttackerCapability.SOCIAL_ENGINEERING
-                not in attacker.capabilities
-            ):
-                return None
-            if len(info & DOSSIER_KINDS) < DOSSIER_THRESHOLD:
-                return None
-            # Canonical dossier kind: ``info`` is a set, so ``next(iter(...))``
-            # would make the provenance depend on hash-iteration order and
-            # break bit-for-bit closure comparisons across runs.
-            canonical = min(info & DOSSIER_KINDS, key=lambda kind: kind.value)
-            return self._provider_of_kind(canonical, compromised) or "<dossier>"
-        if factor_satisfied_by_info(factor, info):
-            for kind in sorted(info, key=lambda k: k.value):
-                if factor_satisfied_by_info(factor, {kind}):
-                    source = self._provider_of_kind(kind, compromised)
-                    if source is not None:
-                        return source
-            return "<attacker-profile>"
-        # Insight 4: reconstruct a masked value by combining partial views
-        # harvested from several compromised accounts.
-        contributors = self._combining_contributors(factor, path, compromised)
-        if contributors:
-            return "+".join(contributors)
-        return None
+        source = table.source(factor)
+        if source is _COMBINED:
+            contributors = self._combining_contributors(factor, path, table)
+            return "+".join(contributors) if contributors else None
+        return source
 
+    @staticmethod
     def _combining_contributors(
-        self,
         factor: CredentialFactor,
         path: AuthPath,
-        compromised: FrozenSet[str],
+        table: ProvenanceTable,
     ) -> Optional[Tuple[str, ...]]:
-        """A greedy minimal set of compromised accounts whose masked views
-        of ``factor``'s value union to the full string, or ``None``."""
-        from repro.core.index import MASKABLE_FACTORS
-
-        maskable = MASKABLE_FACTORS.get(factor)
-        if maskable is None:
-            return None
-        _kind, length = maskable
-        # Only services actually holding a masked view can contribute; the
-        # ecosystem index narrows the candidate set before the greedy cover.
-        views = self._tdg.ecosystem_index().partial_by_service[factor]
-        holders = sorted(
-            (
-                (name, positions)
-                for name, positions in views.items()
-                if name in compromised and name != path.service
-            ),
-            key=lambda item: (-len(item[1]), item[0]),
-        )
+        """Insight 4: a greedy minimal set of compromised accounts (other
+        than the tested one) whose masked views of ``factor``'s value union
+        to the full string, or ``None``."""
+        length = MASKABLE_FACTORS[factor][1]
         covered: Set[int] = set()
         chosen: List[str] = []
-        for name, positions in holders:
-            if not positions - covered:
+        for name, positions in table.masked_views(factor):
+            if name == path.service or not positions - covered:
                 continue
             covered |= positions
             chosen.append(name)
             if len(covered) >= length:
                 return tuple(sorted(chosen))
         return None
-
-    def _provider_of_kind(
-        self, kind: PersonalInfoKind, compromised: FrozenSet[str]
-    ) -> Optional[str]:
-        # Indexed: the alphabetically-first compromised holder, without
-        # scanning every compromised account's PIA.
-        holders = self._tdg.ecosystem_index().holder_set(kind) & compromised
-        return min(holders) if holders else None
 
     # ------------------------------------------------------------------
     # Scenario 2: backward chain search (target -> chain)
@@ -627,7 +696,7 @@ class StrategyEngine:
             # Seeded entries (path None) have no recorded takeover path to
             # restrict; both cases re-derive one on the requested platform.
             replacement = self._retarget_platform(
-                target, platform, closure, by_name, extra_info
+                target, platform, closure, by_name, extra_info, email_provider
             )
             if replacement is None:
                 return None
@@ -665,6 +734,7 @@ class StrategyEngine:
         closure: ForwardClosureResult,
         by_name: Mapping[str, ClosureEntry],
         extra_info: FrozenSet[PersonalInfoKind] = frozenset(),
+        email_provider: Optional[str] = None,
     ) -> Optional[ClosureEntry]:
         """Re-derive the target's entry restricted to one platform."""
         node = self._tdg.node(target)
@@ -689,8 +759,9 @@ class StrategyEngine:
             available |= self._tdg.node(name).pia
         takeover = self._try_takeover(
             platform_node,
-            frozenset(available),
-            frozenset(others),
+            ProvenanceTable(
+                self._tdg, frozenset(available), others, email_provider
+            ),
         )
         if takeover is None:
             return None

@@ -622,9 +622,15 @@ class TransformationDependencyGraph:
         """
         if not self._closure_cache:
             return
+        with self.instrumentation().span(
+            "closure.revalidate", attacker=self._obs_label
+        ):
+            self._revalidate_closures(changes)
+
+    def _revalidate_closures(self, changes) -> None:
         import dataclasses as _dataclasses
 
-        from repro.core.strategy import StrategyEngine
+        from repro.core.strategy import ProvenanceTable, StrategyEngine
 
         engine = StrategyEngine(self)
         for key, record in self._closure_cache.items():
@@ -637,11 +643,13 @@ class TransformationDependencyGraph:
                     record.dirty.setdefault(name, old)
                 continue
             _seeds, _extra, email_provider = key
-            engine._email_provider = email_provider
             result = record.result
             # ``compromised`` is a derived property (one frozenset build
             # per access); hoist it off the per-change loop.
             compromised = result.compromised
+            table = ProvenanceTable(
+                self, result.final_info, compromised, email_provider
+            )
             membership_changed = False
             reaches = False
             for name, old, new in changes:
@@ -653,10 +661,7 @@ class TransformationDependencyGraph:
                     # the safe set must drop it.
                     membership_changed = True
                     continue
-                if (
-                    engine._try_takeover(new, result.final_info, compromised)
-                    is not None
-                ):
+                if engine._try_takeover(new, table) is not None:
                     reaches = True
                     break
                 if old is None:

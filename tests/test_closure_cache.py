@@ -6,10 +6,15 @@ keeps every entry the delta cannot reach (safe services are inert to the
 fixpoint) and drops the rest.  The differential here locks the cached
 answers against from-scratch rebuilds after *every* mutation of seeded
 streams -- including removals and additions, the patch path -- and the
-handcrafted cases pin the survive/invalidate split itself.
+handcrafted cases pin the survive/invalidate split itself.  Scratch and
+resumed closures share the strategy engine's per-round provenance tables,
+so both are also checked against the table-free scan oracle
+(:meth:`~repro.core.reference.ReferenceTDG.forward_closure`).
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,10 +22,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.catalog.builder import CatalogBuilder
 from repro.catalog.spec import CatalogSpec
 from repro.core.actfort import ActFort
+from repro.core.index import EcosystemIndex
+from repro.core.reference import ReferenceTDG
 from repro.core.strategy import StrategyEngine
 from repro.core.tdg import TransformationDependencyGraph
 from repro.dynamic import DynamicAnalysisSession, MutationStream
 from repro.dynamic.events import AddAuthPath, AddService, ChangeMasking
+from repro.model.attacker import (
+    BASELINE_CAPABILITIES,
+    AttackerCapability,
+    AttackerProfile,
+)
 from repro.model.account import (
     AuthPath,
     AuthPurpose,
@@ -64,6 +76,18 @@ def _safe_service(name):
         ),
         exposed_info={PL.WEB: frozenset({PI.REAL_NAME})},
     )
+
+
+def _assert_same_closure(served, expected, label):
+    assert served.entries == expected.entries, label
+    assert [e.round for e in served.entries] == [
+        e.round for e in expected.entries
+    ], label
+    assert [e.factor_sources for e in served.entries] == [
+        e.factor_sources for e in expected.entries
+    ], label
+    assert served.safe == expected.safe, label
+    assert served.final_info == expected.final_info, label
 
 
 @pytest.mark.parametrize("seed", (4001, 4002, 4003))
@@ -282,14 +306,161 @@ def test_incremental_closure_matches_scratch_on_random_sequences(data):
             ActFort.from_ecosystem(session.ecosystem).tdg()
         )
         for kwargs in ({}, {"extra_info": [PI.CITIZEN_ID]}):
-            served = session.forward_closure(**kwargs)
-            scratch = scratch_engine.forward_closure(**kwargs)
-            assert served.entries == scratch.entries, kwargs
-            assert [e.round for e in served.entries] == [
-                e.round for e in scratch.entries
-            ], kwargs
-            assert [e.factor_sources for e in served.entries] == [
-                e.factor_sources for e in scratch.entries
-            ], kwargs
-            assert served.safe == scratch.safe, kwargs
-            assert served.final_info == scratch.final_info, kwargs
+            _assert_same_closure(
+                session.forward_closure(**kwargs),
+                scratch_engine.forward_closure(**kwargs),
+                kwargs,
+            )
+
+
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_scratch_and_resumed_closures_match_the_scan_oracle(data):
+    """Oracle differential: the scan oracle re-derives every factor source
+    from the node postings, so a provenance-table bug that scratch and
+    resumed runs would share still shows -- for the unseeded key, a
+    breach-data key and a pinned email provider, under the baseline
+    attacker and one that also social-engineers customer service (its
+    dossier comes only from compromised accounts, so the customer-service
+    source names a holder), after every mutation."""
+    seed = data.draw(st.integers(min_value=0, max_value=2**16))
+    steps = data.draw(st.integers(min_value=1, max_value=5))
+    pinned = data.draw(
+        st.sampled_from(("gmail", "netease_mail", "outlook", "aliyun_mail"))
+    )
+    attackers = {
+        "baseline": AttackerProfile.baseline(),
+        "social": AttackerProfile(
+            capabilities=BASELINE_CAPABILITIES
+            | {AttackerCapability.SOCIAL_ENGINEERING},
+            known_info=frozenset({PI.CELLPHONE_NUMBER}),
+        ),
+    }
+    keys = (
+        {},
+        {"extra_info": [PI.CITIZEN_ID]},
+        {"email_provider": pinned},
+    )
+    # 40 services is the smallest catalog tier whose closures use
+    # Insight-4 combining sources.
+    ecosystem = CatalogBuilder(
+        CatalogSpec(total_services=40), seed=seed
+    ).build_ecosystem()
+    session = DynamicAnalysisSession(ecosystem, attackers=attackers)
+    stream = MutationStream(seed=seed ^ 0xA5A5, min_services=6)
+    for label in attackers:
+        for kwargs in keys:
+            session.forward_closure(attacker=label, **kwargs)
+    for _ in range(steps):
+        session.mutate(stream.next_mutation(session.ecosystem))
+        for label, profile in attackers.items():
+            scratch_graph = ActFort.from_ecosystem(
+                session.ecosystem, profile
+            ).tdg()
+            scratch_engine = StrategyEngine(scratch_graph)
+            oracle = ReferenceTDG(scratch_graph.nodes, profile)
+            for kwargs in keys:
+                expected = oracle.forward_closure(**kwargs)
+                where = (label, kwargs)
+                _assert_same_closure(
+                    session.forward_closure(attacker=label, **kwargs),
+                    expected,
+                    where,
+                )
+                _assert_same_closure(
+                    scratch_engine.forward_closure(**kwargs), expected, where
+                )
+
+
+def test_pinned_closure_is_revalidated_under_its_provider():
+    """A record cached under ``email_provider=X`` is revalidated with the
+    pin: a new email-code reset reaches it only through X (X exposes no
+    mailbox, so the unpinned closure cannot source the code)."""
+    ecosystem = Ecosystem([_direct_service("mail_x"), _safe_service("bank")])
+    session = DynamicAnalysisSession(ecosystem)
+    graph = session.graph()
+    unpinned = session.forward_closure()
+    pinned = session.forward_closure(email_provider="mail_x")
+    assert unpinned.compromised == pinned.compromised == frozenset({"mail_x"})
+
+    session.mutate(
+        AddAuthPath(
+            service="bank",
+            path=_path(
+                "bank",
+                AuthPurpose.PASSWORD_RESET,
+                CF.CELLPHONE_NUMBER,
+                CF.EMAIL_CODE,
+            ),
+        )
+    )
+    # Only the pinned record was reached and marked dirty.
+    assert graph.closure_cache_stats()["revalidations"] == 1
+    assert session.forward_closure() is unpinned
+    resumed = session.forward_closure(email_provider="mail_x")
+    assert graph.closure_cache_stats()["resumes"] == 1
+    assert resumed.entry("bank").factor_sources == {CF.EMAIL_CODE: "mail_x"}
+    oracle = ReferenceTDG(graph.nodes, graph.attacker)
+    _assert_same_closure(
+        resumed, oracle.forward_closure(email_provider="mail_x"), "pinned"
+    )
+
+
+class _CountingViews(dict):
+    """``partial_by_service`` stand-in that counts factor lookups."""
+
+    def __init__(self, views, counts):
+        super().__init__(views)
+        self.counts = counts
+
+    def __getitem__(self, factor):
+        self.counts[factor] += 1
+        return super().__getitem__(factor)
+
+
+def test_resume_reads_each_posting_once_per_round_at_402(monkeypatch):
+    """Machine-independent guard for the per-round provenance tables: a
+    resumed closure at 402 services looks up each info kind's holders and
+    each maskable factor's masked views at most once per round, however
+    many takeover tests the round runs."""
+    ecosystem = CatalogBuilder(
+        CatalogSpec(total_services=402), seed=2021
+    ).build_ecosystem()
+    session = DynamicAnalysisSession(ecosystem)
+    graph = session.graph()
+    session.forward_closure()
+    stream = MutationStream(seed=2021)
+    for _ in range(60):
+        marked = graph.closure_cache_stats()["revalidations"]
+        session.mutate(stream.next_mutation(session.ecosystem))
+        if graph.closure_cache_stats()["revalidations"] > marked:
+            break
+        session.forward_closure()
+    else:
+        pytest.fail("no support-reaching mutation in 60 draws")
+
+    index = graph.ecosystem_index()
+    holder_lookups: Counter = Counter()
+    view_lookups: Counter = Counter()
+
+    def counting_holder_set(kind):
+        holder_lookups[kind] += 1
+        return EcosystemIndex.holder_set(index, kind)
+
+    monkeypatch.setattr(index, "holder_set", counting_holder_set)
+    monkeypatch.setattr(
+        index,
+        "partial_by_service",
+        _CountingViews(index.partial_by_service, view_lookups),
+    )
+    resumes = graph.closure_cache_stats()["resumes"]
+    closure = session.forward_closure()
+    assert graph.closure_cache_stats()["resumes"] == resumes + 1
+    rounds = max(entry.round for entry in closure.entries) + 1
+    assert holder_lookups, "the resume sourced no factor from a holder"
+    assert max(holder_lookups.values()) <= rounds, holder_lookups
+    assert max(view_lookups.values(), default=0) <= rounds, view_lookups

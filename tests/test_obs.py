@@ -378,6 +378,39 @@ class TestServiceObservability:
                 "repro_stream_segments_invalidated_total", by
             )
 
+    def test_closure_spans_count_tests_and_time_revalidation(self):
+        service = AnalysisService(_small_ecosystem())
+        _mutate_and_serve(service, mutations=2)
+
+        def walk(span, parent=None):
+            yield span, parent
+            for child in span["children"]:
+                yield from walk(child, span)
+
+        spans = [
+            pair
+            for root in service.instrumentation.tracer.recent()
+            for pair in walk(root.to_dict())
+        ]
+        runs = [span for span, _ in spans if span["name"] == "closure.run"]
+        assert runs
+        assert all(
+            isinstance(span["attributes"]["takeover_tests"], int)
+            for span in runs
+        )
+        assert max(span["attributes"]["takeover_tests"] for span in runs) > 0
+        # Revalidation is a phase of the mutation's apply path, labelled
+        # by attacker only.
+        revalidations = [
+            (span, parent)
+            for span, parent in spans
+            if span["name"] == "closure.revalidate"
+        ]
+        assert revalidations
+        for span, parent in revalidations:
+            assert span["attributes"] == {"attacker": service.primary_attacker}
+            assert parent["name"] == "session.apply"
+
     def test_warm_repeat_counts_as_api_hits(self):
         service = AnalysisService(_small_ecosystem())
         workload = [LevelReportQuery(), MeasurementQuery()]
