@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.catalog.builder import CatalogBuilder
 from repro.catalog.spec import CatalogSpec
 from repro.core.actfort import ActFort
-from repro.core.index import EcosystemIndex
 from repro.core.reference import ReferenceTDG
 from repro.core.strategy import StrategyEngine
 from repro.core.tdg import TransformationDependencyGraph
@@ -444,12 +443,13 @@ def test_resume_reads_each_posting_once_per_round_at_402(monkeypatch):
         pytest.fail("no support-reaching mutation in 60 draws")
 
     index = graph.ecosystem_index()
+    holder_set = index.holder_set
     holder_lookups: Counter = Counter()
     view_lookups: Counter = Counter()
 
     def counting_holder_set(kind):
         holder_lookups[kind] += 1
-        return EcosystemIndex.holder_set(index, kind)
+        return holder_set(kind)
 
     monkeypatch.setattr(index, "holder_set", counting_holder_set)
     monkeypatch.setattr(
