@@ -28,6 +28,12 @@ cardinality ``int.bit_count``):
   :data:`FACTOR_IDS` (a fixed enum-order table; factors are never
   retired), so a signature also has a canonical *factor bitmask*.
 
+There is one service id-space, the ecosystem index's interner: every
+service bitmask in every layer holds its ids.  A layer that absorbs
+deltas lazily diffs :meth:`Interner.retired_mask` against the mask it
+last saw and clears those bits first, since a removed and re-added
+name comes back under a fresh id.
+
 The frozenset-of-names query API of the index layers is preserved as
 thin decoding views over these masks; ``tests/test_ids.py`` pins the
 interner lifecycle (retire-on-remove, fresh-max on re-add,
@@ -59,7 +65,6 @@ __all__ = [
     "FACTOR_OF_ID",
     "Interner",
     "SignatureInterner",
-    "decode_ids",
     "factor_mask",
     "factors_from_mask",
     "iter_ids",
@@ -131,10 +136,11 @@ class Interner(Generic[KeyT]):
       always be rendered back to names.
 
     ``len()`` counts live keys; :attr:`high_water` is the total number
-    of ids ever assigned (the width the bitmasks grow toward).
+    of ids ever assigned (the width the bitmasks grow toward), and
+    :meth:`retired_mask` the bitmask of every id retired so far.
     """
 
-    __slots__ = ("_ids", "_keys", "_latest")
+    __slots__ = ("_ids", "_keys", "_latest", "_retired")
 
     def __init__(self, keys: Iterable[KeyT] = ()) -> None:
         #: key -> live id (retired keys are absent).
@@ -145,6 +151,8 @@ class Interner(Generic[KeyT]):
         #: maintenance pass that runs *after* a removal retired the id can
         #: still clear the right posting bits).
         self._latest: Dict[KeyT, int] = {}
+        #: Bitmask of every retired id (only ever grows).
+        self._retired: int = 0
         for key in keys:
             self.intern(key)
 
@@ -174,7 +182,9 @@ class Interner(Generic[KeyT]):
 
     def retire(self, key: KeyT) -> int:
         """Retire the key's id forever; returns the retired id."""
-        return self._ids.pop(key)
+        retired = self._ids.pop(key)
+        self._retired |= 1 << retired
+        return retired
 
     def latest_id(self, key: KeyT) -> int:
         """The most recent id ever assigned to the key, live or retired
@@ -195,6 +205,11 @@ class Interner(Generic[KeyT]):
     def live_mask(self) -> int:
         """The bitmask of every live id."""
         return mask_of(self._ids.values())
+
+    def retired_mask(self) -> int:
+        """The bitmask of every id retired so far; a consumer that
+        absorbs deltas lazily diffs it against the mask it last saw."""
+        return self._retired
 
     def decode_mask(self, mask: int) -> FrozenSet[str]:
         """Decode a bitmask of ids to the frozenset of keys."""
@@ -256,8 +271,3 @@ class SignatureInterner(Interner[FrozenSet[CredentialFactor]]):
         entries)."""
         return self._containing.get(factor, 0)
 
-
-def decode_ids(interner: Interner[KeyT], mask: int) -> FrozenSet[KeyT]:
-    """Module-level alias of :meth:`Interner.decode_mask` (reads better
-    at call sites that only hold the interner)."""
-    return interner.decode_mask(mask)

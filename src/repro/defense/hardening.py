@@ -124,9 +124,10 @@ class SymmetryRepair:
             profile.mask_specs
         )
         kinds = {kind for (_p, kind) in profile.mask_specs}
+        platforms = sorted(profile.platforms, key=lambda p: p.value)
         for kind in kinds:
             candidates = []
-            for platform in profile.platforms:
+            for platform in platforms:
                 if kind in profile.info_on(platform):
                     spec = profile.mask_for(platform, kind)
                     length = 18 if kind is PersonalInfoKind.CITIZEN_ID else 16
@@ -137,7 +138,7 @@ class SymmetryRepair:
                 continue
             candidates.sort(key=lambda item: item[0])
             _count, _platform, strictest = candidates[0]
-            for platform in profile.platforms:
+            for platform in platforms:
                 if kind in profile.info_on(platform):
                     repaired[(platform, kind)] = strictest
         return repaired

@@ -46,7 +46,7 @@ class UnifiedMaskingPolicy:
         mask_specs: Dict[Tuple[Platform, PersonalInfoKind], MaskSpec] = dict(
             profile.mask_specs
         )
-        for platform in profile.platforms:
+        for platform in sorted(profile.platforms, key=lambda p: p.value):
             for kind in profile.info_on(platform):
                 if kind in self.standards:
                     mask_specs[(platform, kind)] = self.standards[kind]

@@ -130,7 +130,7 @@ class MutationStream:
     def _change_masking(self, ecosystem: Ecosystem) -> Optional[Mutation]:
         candidates = []
         for profile in ecosystem:
-            for platform in profile.platforms:
+            for platform in sorted(profile.platforms, key=lambda p: p.value):
                 for kind in _MASKABLE_KINDS:
                     if kind in profile.info_on(platform):
                         candidates.append((profile.name, platform, kind))

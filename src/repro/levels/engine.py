@@ -63,7 +63,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.ids import Interner, iter_ids
+from repro.core.ids import iter_ids
 from repro.core.index import MASKABLE_FACTORS
 from repro.levels.aggregates import FactorDepthBuckets
 from repro.model.factors import CredentialFactor, Platform
@@ -122,9 +122,15 @@ class DepthFixpointEngine:
     - **signatures**: per-service coverage splits, the direct set, and the
       platform-filtered path memo;
     - **depths**: the joint and pure-full depth maps, the factor depth
-      buckets, and the memoized full-capacity parents with their reverse
-      (children) postings;
+      buckets, the memoized full-capacity parents, and the residual-
+      signature postings a service's children are derived from;
     - **levels**: one classification entry per (platform, service).
+
+    Every service bitmask holds ecosystem ids (``EcosystemIndex.ids``),
+    so the graph's parent masks are stored as they come.  A flush first
+    clears the ids retired since the previous one (see
+    :meth:`_clear_retired`): a remove+re-add burst absorbed in one flush
+    moves a live name to a fresh id.
     """
 
     def __init__(self, graph: "TransformationDependencyGraph") -> None:
@@ -142,30 +148,22 @@ class DepthFixpointEngine:
         self._buckets: Optional[FactorDepthBuckets] = None
         self._provided: Dict[str, FrozenSet[CredentialFactor]] = {}
         self._partials: Dict[str, FrozenSet[CredentialFactor]] = {}
-        #: Engine-private service id-space for the engine-owned bitmask
-        #: postings below.  Unlike the ecosystem interner it NEVER retires
-        #: ids: the engine treats a re-added service as the same entity a
-        #: name set would (deltas are absorbed lazily, so a remove+re-add
-        #: burst can land in one flush -- an ecosystem id would have been
-        #: retired and reassigned between the placements, leaving stale
-        #: bits; a name-stable bit cannot drift).
-        self._bits: Interner[str] = Interner()
-        #: service -> full-capacity-parent bitmask over engine ids (the
-        #: graph's memoized parent masks re-encoded for the pure
-        #: recurrence).
+        #: service -> full-capacity-parent bitmask (the graph's memoized
+        #: mask, stored as it comes).
         self._parents: Optional[Dict[str, int]] = None
-        #: parent -> children bitmask over engine ids.
-        self._children: Dict[str, int] = {}
+        #: The ecosystem interner's retired-id mask as of the last flush;
+        #: ids retired since then still have bits in the masks here.
+        self._retired_seen: int = 0
         #: Static provider-set sizes, to detect availability transitions
         #: (a factor's provider pool crossing the 0/1 boundary is the only
         #: postings change that can move a coverage split).
         self._provider_counts: Dict[CredentialFactor, int] = {}
-        #: residual-factor signature -> bitmask (engine ids) of services
-        #: with a path demanding exactly that signature; the subset tests
-        #: against a touched node's provided-factor delta find every
-        #: parenthood flip.
+        #: residual-factor signature -> bitmask of services with a path
+        #: demanding exactly that signature; subset tests against a
+        #: node's provided factors find its children and, against a
+        #: provided-factor delta, every parenthood flip.
         self._residual_index: Dict[FrozenSet[CredentialFactor], int] = {}
-        #: Pure-full depth buckets (depth -> engine-id bitmask), so one
+        #: Pure-full depth buckets (depth -> service bitmask), so one
         #: derivation is a handful of big-int ANDs against the parents
         #: mask instead of set algebra over names.
         self._pure_buckets: list = [0] * (MAX_DEPTH + 1)
@@ -380,6 +378,7 @@ class DepthFixpointEngine:
         initial_joint: Dict[str, Optional[int]] = {}
         initial_pure: Dict[str, Optional[int]] = {}
         if self._joint is not None:
+            parents_dirty |= self._clear_retired(eco, nodes)
             for service, (old_sig, new_sig) in sig_changes.items():
                 self._index_signature(service, old_sig, add=False)
                 self._index_signature(service, new_sig, add=True)
@@ -400,9 +399,9 @@ class DepthFixpointEngine:
             joint_retracted, joint_rederived = self._update_joint(
                 joint_seeds, nodes, eco, initial_summaries, initial_joint
             )
-            self._refresh_parents(parents_dirty, removed)
+            self._refresh_parents(parents_dirty, nodes)
             pure_retracted, pure_rederived = self._update_pure(
-                parents_dirty, nodes, initial_pure
+                parents_dirty, nodes, eco, initial_pure
             )
             self._retract_joint.inc(joint_retracted)
             self._rederive_joint.inc(joint_rederived)
@@ -432,17 +431,48 @@ class DepthFixpointEngine:
             for factor in self._partials.get(service, ()):
                 invalid_mask |= eco.demanders_mask(factor)
             invalid_mask |= eco.linked_consumers_mask(service)
-        children_mask = 0
         for service, before in initial_pure.items():
             if self._pure.get(service) != before:
-                children_mask |= self._children.get(service, 0)
+                invalid_mask |= self._children_mask(service, eco)
         if invalid_mask:
             invalid |= eco.decode_mask(invalid_mask)
-        if children_mask:
-            invalid |= self._bits.decode_mask(children_mask)
         for cache in self._levels.values():
             for service in invalid:
                 cache.pop(service, None)
+
+    def _clear_retired(self, eco: "EcosystemIndex", nodes) -> Set[str]:
+        """Retire-at-flush: drop the bits of every ecosystem id retired
+        since the last flush, then place each name that is live again
+        under its new id (its depth and signature entries carry over; the
+        flush re-derives it as a touched service).  Returns the services
+        whose parent masks held a retired id, which are parents-dirty."""
+        retired = eco.ids.retired_mask()
+        gone = retired & ~self._retired_seen
+        self._retired_seen = retired
+        if not gone:
+            return set()
+        keep = ~gone
+        self._pure_buckets = [bucket & keep for bucket in self._pure_buckets]
+        self._residual_index = {
+            signature: mask & keep
+            for signature, mask in self._residual_index.items()
+            if mask & keep
+        }
+        for name in eco.decode_mask(gone) & nodes.keys():
+            self._index_signature(name, self._sig.get(name), add=True)
+            depth = self._pure.get(name)
+            if depth is not None:
+                self._pure_buckets[depth] |= self._bit(name)
+        return {
+            service
+            for service, parents_mask in self._parents.items()
+            if parents_mask & gone
+        }
+
+    def _bit(self, service: str) -> int:
+        """The service's ecosystem-id bit (its latest id, so clearing a
+        removed service after its id retired still hits the right bit)."""
+        return 1 << self._graph.ecosystem_index().ids.latest_id(service)
 
     def _index_signature(
         self, service: str, sig: Optional[NodeSignature], add: bool
@@ -451,7 +481,7 @@ class DepthFixpointEngine:
         index (blocked and residual-free paths never parent anything)."""
         if sig is None:
             return
-        bit = 1 << self._bits.intern(service)
+        bit = self._bit(service)
         index = self._residual_index
         for _path, residual, blocked in sig.entries:
             if blocked or not residual:
@@ -498,25 +528,37 @@ class DepthFixpointEngine:
         residual signature (a node parents a path exactly when it provides
         the path's whole residual, plus being named on linked paths)."""
         candidates_mask = 0
-        linked = CredentialFactor.LINKED_ACCOUNT
-        for name, (old_provided, new_provided) in provided_changes.items():
-            if old_provided == new_provided:
-                continue
-            for signature, services_mask in self._residual_index.items():
-                base = (
-                    signature - {linked} if linked in signature else signature
+        for name, (old, new) in provided_changes.items():
+            if old != new:
+                candidates_mask |= self._signature_members(
+                    name, lambda base: (base <= old) != (base <= new), eco
                 )
-                if not base:
-                    continue
-                if (base <= old_provided) == (base <= new_provided):
-                    continue
-                if linked in signature:
-                    candidates_mask |= services_mask & self._bits.encode_live(
-                        eco.linked_consumers_of(name)
-                    )
-                else:
-                    candidates_mask |= services_mask
-        return set(self._bits.decode_mask(candidates_mask))
+        return set(eco.decode_mask(candidates_mask))
+
+    def _children_mask(self, service: str, eco: "EcosystemIndex") -> int:
+        """A superset of the services holding ``service`` as a
+        full-capacity parent (exact on signatures without
+        ``LINKED_ACCOUNT``): those whose residual it provides in full."""
+        provided = self._provided.get(service, frozenset())
+        mask = self._signature_members(service, provided.issuperset, eco)
+        return mask & ~self._bit(service)
+
+    def _signature_members(
+        self, name: str, selects, eco: "EcosystemIndex"
+    ) -> int:
+        """Union of the residual-index masks whose signature ``selects``
+        accepts by its non-linked base; a signature containing
+        ``LINKED_ACCOUNT`` contributes only the services that name
+        ``name`` on a linked path."""
+        linked = CredentialFactor.LINKED_ACCOUNT
+        mask = 0
+        for signature, services_mask in self._residual_index.items():
+            if linked in signature:
+                if selects(signature - {linked}):
+                    mask |= services_mask & eco.linked_consumers_mask(name)
+            elif selects(signature):
+                mask |= services_mask
+        return mask
 
     # ------------------------------------------------------------------
     # Tier 1: signatures
@@ -607,29 +649,13 @@ class DepthFixpointEngine:
         for service in nodes:
             self._index_signature(service, self._sig[service], add=True)
         self._scratch_joint(nodes)
-        self._parents = {}
-        self._children = {}
-        for service in nodes:
-            parents_mask = self._to_engine_mask(
-                graph.full_capacity_parents_mask(service), eco
-            )
-            self._parents[service] = parents_mask
-            bit = 1 << self._bits.intern(service)
-            for parent_id in iter_ids(parents_mask):
-                parent = self._bits.decode(parent_id)
-                self._children[parent] = self._children.get(parent, 0) | bit
+        self._parents = {
+            service: graph.full_capacity_parents_mask(service)
+            for service in nodes
+        }
+        self._retired_seen = eco.ids.retired_mask()
         self._pure = {}
         self._scratch_pure(nodes)
-
-    def _to_engine_mask(self, eco_mask: int, eco: "EcosystemIndex") -> int:
-        """Re-encode an ecosystem-id bitmask onto the engine's
-        name-stable id-space."""
-        decode = eco.ids.decode
-        intern = self._bits.intern
-        mask = 0
-        for service_id in iter_ids(eco_mask):
-            mask |= 1 << intern(decode(service_id))
-        return mask
 
     @staticmethod
     def _partial_factors(node: "TDGNode") -> FrozenSet[CredentialFactor]:
@@ -804,7 +830,7 @@ class DepthFixpointEngine:
         old = self._pure.get(service)
         if old == new_depth:
             return
-        bit = 1 << self._bits.intern(service)
+        bit = self._bit(service)
         if old is not None:
             self._pure_buckets[old] &= ~bit
         if new_depth is None:
@@ -902,30 +928,13 @@ class DepthFixpointEngine:
             if factor not in initial_summaries:
                 initial_summaries[factor] = buckets.summary(factor)
 
-    def _push_joint_consumers(
-        self,
-        service: str,
-        changed_factors: Set[CredentialFactor],
-        wl: deque,
-        inwl: Set[str],
-        nodes,
-        eco: "EcosystemIndex",
+    @staticmethod
+    def _push(
+        mask: int, wl: deque, inwl: Set[str], nodes, eco: "EcosystemIndex"
     ) -> None:
-        """Forward-propagate one depth change along the reverse postings:
-        demanders of factors whose summary moved, services linking this
-        one, and demanders of maskable factors it holds views of.  The
-        union is a handful of big-int ORs over the index's posting masks,
-        decoded once."""
-        targets_mask = 0
-        for factor in changed_factors:
-            targets_mask |= eco.demanders_mask(factor)
-        for factor in self._partials.get(service, ()):
-            targets_mask |= eco.demanders_mask(factor)
-        targets_mask |= eco.linked_consumers_mask(service)
-        if not targets_mask:
-            return
+        """Queue every live service of ``mask`` not already queued."""
         decode = eco.ids.decode
-        for target_id in iter_ids(targets_mask):
+        for target_id in iter_ids(mask):
             target = decode(target_id)
             if target in nodes and target not in inwl:
                 inwl.add(target)
@@ -941,9 +950,62 @@ class DepthFixpointEngine:
     ) -> Tuple[int, int]:
         """Two-phase delta-BFS on the joint map.  Every entry and factor
         summary is snapshotted into the ``initial_*`` maps at first touch,
-        so the caller can compute net changes across both phases.
-        Returns ``(phase A retractions, phase B re-derivations)`` -- the
-        flush's actual bill, which the registry counters accumulate."""
+        so the caller can compute net changes across both phases."""
+
+        def move(service, depth, wl, inwl) -> None:
+            initial_joint.setdefault(service, self._joint.get(service))
+            self._snap_summaries(
+                self._provided.get(service, ()), initial_summaries
+            )
+            # Forward-propagate along the reverse postings: demanders of
+            # factors whose summary moved, services linking this one, and
+            # demanders of maskable factors it holds views of.
+            targets = eco.linked_consumers_mask(service)
+            for factor in self._set_joint(service, depth):
+                targets |= eco.demanders_mask(factor)
+            for factor in self._partials.get(service, ()):
+                targets |= eco.demanders_mask(factor)
+            self._push(targets, wl, inwl, nodes, eco)
+
+        return self._two_phase(
+            dirty, nodes, self._joint, self._derive_joint, move
+        )
+
+    def _refresh_parents(self, dirty: Set[str], nodes) -> None:
+        graph = self._graph
+        for service in dirty:
+            if service in nodes:
+                self._parents[service] = graph.full_capacity_parents_mask(
+                    service
+                )
+            else:
+                self._parents.pop(service, None)
+
+    def _update_pure(
+        self,
+        dirty: Set[str],
+        nodes,
+        eco: "EcosystemIndex",
+        initial_pure: Dict[str, Optional[int]],
+    ) -> Tuple[int, int]:
+        """The same two-phase scheme on the pure-full map, propagating
+        to each changed service's children."""
+
+        def move(service, depth, wl, inwl) -> None:
+            initial_pure.setdefault(service, self._pure.get(service))
+            self._set_pure(service, depth)
+            self._push(self._children_mask(service, eco), wl, inwl, nodes, eco)
+
+        return self._two_phase(
+            dirty, nodes, self._pure, self._derive_pure, move
+        )
+
+    @staticmethod
+    def _two_phase(dirty, nodes, depths, derive, move) -> Tuple[int, int]:
+        """The delta-BFS both depth maps share: ``move(service, depth,
+        wl, inwl)`` sets one entry and queues its dependents.  Returns
+        ``(phase A retractions, phase B re-derivations)`` -- the flush's
+        actual bill, which the registry counters accumulate."""
         retracted = 0
         rederived = 0
         todo: Set[str] = set()
@@ -955,32 +1017,17 @@ class DepthFixpointEngine:
         while wl:
             service = wl.popleft()
             inwl.discard(service)
-            old = self._joint.get(service)
-            if service not in nodes:
-                if old is not None:
-                    retracted += 1
-                    initial_joint.setdefault(service, old)
-                    self._snap_summaries(
-                        self._provided.get(service, ()), initial_summaries
-                    )
-                    changed = self._set_joint(service, None)
-                    self._push_joint_consumers(
-                        service, changed, wl, inwl, nodes, eco
-                    )
-                continue
+            old = depths.get(service)
             if old is None:
+                if service in nodes:
+                    todo.add(service)
+                continue
+            if service in nodes:
+                if derive(service) == old:
+                    continue
                 todo.add(service)
-                continue
-            if self._derive_joint(service) == old:
-                continue
             retracted += 1
-            initial_joint.setdefault(service, old)
-            self._snap_summaries(
-                self._provided.get(service, ()), initial_summaries
-            )
-            changed = self._set_joint(service, None)
-            todo.add(service)
-            self._push_joint_consumers(service, changed, wl, inwl, nodes, eco)
+            move(service, None, wl, inwl)
         # Phase B: descending chaotic re-derivation of the retracted cone;
         # converges to the unique (grounded) fixpoint.
         wl = deque(todo)
@@ -991,114 +1038,9 @@ class DepthFixpointEngine:
             if service not in nodes:
                 continue
             rederived += 1
-            cand = self._derive_joint(service)
-            old = self._joint.get(service)
-            if cand == old:
-                continue
-            initial_joint.setdefault(service, old)
-            self._snap_summaries(
-                self._provided.get(service, ()), initial_summaries
-            )
-            changed = self._set_joint(service, cand)
-            self._push_joint_consumers(service, changed, wl, inwl, nodes, eco)
-        return retracted, rederived
-
-    def _refresh_parents(self, dirty: Set[str], removed: Set[str]) -> None:
-        graph = self._graph
-        eco = graph.ecosystem_index()
-        decode = self._bits.decode
-        for service in dirty:
-            old = self._parents.get(service, 0)
-            new = (
-                0
-                if service in removed
-                else self._to_engine_mask(
-                    graph.full_capacity_parents_mask(service), eco
-                )
-            )
-            if new != old:
-                bit = 1 << self._bits.intern(service)
-                for parent_id in iter_ids(old & ~new):
-                    parent = decode(parent_id)
-                    remaining = self._children.get(parent, 0) & ~bit
-                    if remaining:
-                        self._children[parent] = remaining
-                    else:
-                        self._children.pop(parent, None)
-                for parent_id in iter_ids(new & ~old):
-                    parent = decode(parent_id)
-                    self._children[parent] = self._children.get(parent, 0) | bit
-            if service in removed:
-                self._parents.pop(service, None)
-            else:
-                self._parents[service] = new
-        for service in removed:
-            self._children.pop(service, None)
-
-    def _push_children(
-        self, service: str, wl: deque, inwl: Set[str], nodes
-    ) -> None:
-        children_mask = self._children.get(service, 0)
-        if not children_mask:
-            return
-        decode = self._bits.decode
-        for child_id in iter_ids(children_mask):
-            child = decode(child_id)
-            if child in nodes and child not in inwl:
-                inwl.add(child)
-                wl.append(child)
-
-    def _update_pure(
-        self,
-        dirty: Set[str],
-        nodes,
-        initial_pure: Dict[str, Optional[int]],
-    ) -> Tuple[int, int]:
-        """The same two-phase scheme on the pure-full map, propagating
-        along the memoized parent -> children postings.  Returns
-        ``(phase A retractions, phase B re-derivations)``."""
-        retracted = 0
-        rederived = 0
-        todo: Set[str] = set()
-        pure = self._pure
-        wl = deque(dirty)
-        inwl = set(dirty)
-        while wl:
-            service = wl.popleft()
-            inwl.discard(service)
-            old = pure.get(service)
-            if service not in nodes:
-                if old is not None:
-                    retracted += 1
-                    initial_pure.setdefault(service, old)
-                    self._set_pure(service, None)
-                    self._push_children(service, wl, inwl, nodes)
-                continue
-            if old is None:
-                todo.add(service)
-                continue
-            if self._derive_pure(service) == old:
-                continue
-            retracted += 1
-            initial_pure.setdefault(service, old)
-            self._set_pure(service, None)
-            todo.add(service)
-            self._push_children(service, wl, inwl, nodes)
-        wl = deque(todo)
-        inwl = set(todo)
-        while wl:
-            service = wl.popleft()
-            inwl.discard(service)
-            if service not in nodes:
-                continue
-            rederived += 1
-            cand = self._derive_pure(service)
-            old = pure.get(service)
-            if cand == old:
-                continue
-            initial_pure.setdefault(service, old)
-            self._set_pure(service, cand)
-            self._push_children(service, wl, inwl, nodes)
+            cand = derive(service)
+            if cand != depths.get(service):
+                move(service, cand, wl, inwl)
         return retracted, rederived
 
     # ------------------------------------------------------------------
@@ -1123,7 +1065,7 @@ class DepthFixpointEngine:
         """Minimal chain depth using only full-capacity steps.
 
         Same flush-then-serve contract as :meth:`joint_depths`,
-        propagated along the memoized parent -> children postings."""
+        propagated to each changed service's children."""
         self._flush()
         self._ensure_depths()
         return dict(self._pure)
@@ -1139,7 +1081,7 @@ class DepthFixpointEngine:
         per-service intersection rebuilds."""
         self._flush()
         self._ensure_depths()
-        decode = self._bits.decode_mask
+        decode = self._graph.ecosystem_index().decode_mask
         return {
             service: decode(mask) for service, mask in self._parents.items()
         }
@@ -1197,8 +1139,9 @@ class DepthFixpointEngine:
             entry = cache.get(service)
             if entry is None:
                 if pf0 is None:
-                    pf0 = self._bits.decode_mask(self._pure_buckets[0])
-                    pf1 = self._bits.decode_mask(self._pure_buckets[1])
+                    decode = self._graph.ecosystem_index().decode_mask
+                    pf0 = decode(self._pure_buckets[0])
+                    pf1 = decode(self._pure_buckets[1])
                 entry = self._classify(service, paths, pf0, pf1)
                 cache[service] = entry
             result[service] = entry

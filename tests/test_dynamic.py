@@ -7,6 +7,12 @@ evaluation), the incremental measurement re-aggregation, churn-stream
 determinism, and the catalog builder's explicit-rng reproducibility.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.api import AnalysisService, MeasurementQuery, RolloutQuery
@@ -346,6 +352,48 @@ class TestReproducibility:
         second = MutationStream(seed=37).take(eco, 25)
         assert first == second
         assert first != MutationStream(seed=38).take(eco, 25)
+
+    def test_mutation_stream_is_hash_seed_independent(self):
+        # Frozenset iteration order follows the process hash seed, so any
+        # draw or tie-break over one (e.g. ``profile.platforms``) would
+        # make "seeded" churn differ from process to process.
+        script = (
+            "import json\n"
+            "from repro.catalog.builder import CatalogBuilder\n"
+            "from repro.catalog.spec import CatalogSpec\n"
+            "from repro.dynamic import MutationStream\n"
+            "from repro.utils.serialization import (\n"
+            "    mutation_to_dict, service_profile_to_dict)\n"
+            "eco = CatalogBuilder(CatalogSpec(total_services=60), seed=31)"
+            ".build_ecosystem()\n"
+            "stream = MutationStream(seed=37)\n"
+            "for _ in range(120):\n"
+            "    mutation = stream.next_mutation(eco)\n"
+            "    eco, _delta = eco.apply(mutation)\n"
+            "    print(json.dumps(mutation_to_dict(mutation),"
+            " sort_keys=True))\n"
+            "for profile in eco:\n"
+            "    print(json.dumps(service_profile_to_dict(profile), "
+            "sort_keys=True))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = str(src)
+            env["PYTHONHASHSEED"] = hash_seed
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                env=env,
+                timeout=300,
+                check=True,
+            )
+            outputs.append(completed.stdout)
+        assert outputs[0].count(b"\n") > 120
+        assert json.loads(outputs[0].splitlines()[0])
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
     def test_builder_is_idempotent_run_to_run(self):
         builder = CatalogBuilder(CatalogSpec(total_services=40), seed=41)

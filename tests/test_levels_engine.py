@@ -9,13 +9,16 @@ factor depth aggregates, platform threading, and the streaming Couple
 File enumeration.
 """
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from repro.catalog.builder import CatalogBuilder
 from repro.catalog.spec import CatalogSpec
 from repro.core.reference import ReferenceTDG
 from repro.core.tdg import TransformationDependencyGraph
-from repro.dynamic import DynamicAnalysisSession, RemoveService
+from repro.dynamic import AddService, DynamicAnalysisSession, RemoveService
 from repro.levels import DependencyLevel, FactorDepthBuckets
 from repro.model.attacker import AttackerProfile
 from repro.model.factors import CredentialFactor as CF
@@ -122,6 +125,66 @@ class TestRemovalRederivation:
         assert victim not in engine.direct_services()
         for platform in (PL.WEB, PL.MOBILE):
             assert victim not in graph.dependency_levels(platform)
+
+
+class TestRemoveReAddInOneFlush:
+    """A remove+re-add burst with no query in between lands in one lazy
+    flush; the re-added name has a fresh ecosystem id by then, so every
+    engine mask holding the old id must follow it.  The top parent hubs
+    are where a stale bit shows: their children's pure depths read them."""
+
+    @staticmethod
+    def _one_path_changed(profile):
+        path = profile.auth_paths[0]
+        changed = dataclasses.replace(
+            path, factors=path.factors ^ {CF.REAL_NAME}
+        )
+        return dataclasses.replace(
+            profile, auth_paths=(changed,) + profile.auth_paths[1:]
+        )
+
+    @pytest.mark.parametrize("path_changed", [False, True])
+    def test_top_hubs_match_a_rebuild(self, path_changed):
+        session = DynamicAnalysisSession(_catalog(size=150, seed=777))
+        graph = session.graph()
+        engine = graph.levels_engine()
+        counts = Counter(
+            parent
+            for parents in engine.full_capacity_parents_map().values()
+            for parent in parents
+        )
+        hubs = sorted(counts, key=lambda name: (-counts[name], name))[:3]
+        for hub in hubs:
+            profile = session.ecosystem.service(hub)
+            if path_changed:
+                profile = self._one_path_changed(profile)
+            session.mutate(RemoveService(hub))
+            session.mutate(AddService(profile))
+            fresh = session.rebuild()
+            scratch = fresh.levels_engine()
+            assert engine.joint_depths() == scratch.joint_depths(), hub
+            assert engine.pure_full_depths() == scratch.pure_full_depths(), hub
+            assert (
+                engine.full_capacity_parents_map()
+                == scratch.full_capacity_parents_map()
+            ), hub
+            for platform in (PL.WEB, PL.MOBILE):
+                assert graph.dependency_levels(
+                    platform
+                ) == fresh.dependency_levels(platform), (hub, platform)
+            # The id-keyed postings the answers above read only on later
+            # deltas (children are derived from the residual index).
+            assert self._postings(graph) == self._postings(fresh), hub
+
+    @staticmethod
+    def _postings(graph):
+        engine = graph.levels_engine()
+        decode = graph.ecosystem_index().decode_mask
+        residual = engine._residual_index
+        return (
+            {sig: decode(mask) for sig, mask in residual.items()},
+            [decode(bucket) for bucket in engine._pure_buckets],
+        )
 
 
 # ----------------------------------------------------------------------

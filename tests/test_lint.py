@@ -469,6 +469,50 @@ class TestDeprecationShim:
         assert lint.check_source(source, path=self.PACKAGE_PATH) == []
 
 
+class TestPrivateInterner:
+    PACKAGE_PATH = "src/repro/levels/engine.py"
+
+    def test_flags_interner_outside_the_ecosystem_index(self):
+        source = textwrap.dedent(
+            """
+            from repro.core import ids
+            from repro.core.ids import Interner
+
+            class Engine:
+                def __init__(self):
+                    self._bits = Interner()
+                    self._more = ids.Interner(["a"])
+            """
+        )
+        findings = lint.check_source(source, path=self.PACKAGE_PATH)
+        assert [f.code for f in findings] == [
+            "private-interner",
+            "private-interner",
+        ]
+
+    def test_index_signatures_and_paths_outside_the_package_are_clean(self):
+        source = textwrap.dedent(
+            """
+            from repro.core.ids import Interner, SignatureInterner
+
+            class Index:
+                def __init__(self, names):
+                    self.ids = Interner(names)
+                    self._sigs = SignatureInterner()
+            """
+        )
+        for path in ("src/repro/core/index.py", "tests/test_ids.py"):
+            assert lint.check_source(source, path=path) == []
+        signatures = textwrap.dedent(
+            """
+            from repro.core.ids import SignatureInterner
+
+            SIGNATURES = SignatureInterner()
+            """
+        )
+        assert lint.check_source(signatures, path=self.PACKAGE_PATH) == []
+
+
 def test_repository_is_lint_clean():
     """The gate ``make verify`` also runs: the whole tree stays clean."""
     targets = [

@@ -52,6 +52,12 @@ unambiguously dead:
   package (``src/repro/``).  Every caller of the package lives in this
   repository, so an entry point that has a replacement is deleted and
   its callers moved, not kept behind a warning.
+- **private-interner**: an ``Interner(...)`` construction in the
+  package (``src/repro/``) outside ``core/index.py``.  The ecosystem
+  index owns the one service id-space every bitmask layer shares; a
+  second interner means masks that must be re-encoded bit by bit to
+  mix.  (:class:`SignatureInterner` keys a different space and is not
+  reported.)
 
 A trailing ``# noqa`` comment on the offending line suppresses any
 finding.  Exit status is non-zero when anything is reported::
@@ -458,6 +464,38 @@ def _deprecation_shim_findings(
         )
 
 
+def _private_interner_applies(path: str) -> bool:
+    """The private-interner rule covers the package under ``src/repro/``
+    except ``core/index.py``, which owns the service id-space."""
+    parts = re.split(r"[\\/]", path)
+    return (
+        "src" in parts
+        and "repro" in parts
+        and tuple(parts[-2:]) != ("core", "index.py")
+    )
+
+
+def _private_interner_findings(
+    tree: ast.Module, noqa: Set[int], path: str
+) -> Iterable[Finding]:
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or node.lineno in noqa:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(
+            func, "attr", None
+        )
+        if name != "Interner":
+            continue
+        yield Finding(
+            path,
+            node.lineno,
+            "private-interner",
+            "Interner() outside core/index.py; service bitmasks share the "
+            "ecosystem index's id-space (EcosystemIndex.ids)",
+        )
+
+
 def check_source(source: str, path: str = "<string>") -> List[Finding]:
     """Lint one module's source; returns all findings, line-ordered."""
     tree = ast.parse(source, filename=path)
@@ -482,6 +520,9 @@ def check_source(source: str, path: str = "<string>") -> List[Finding]:
 
     if _deprecation_shim_applies(path):
         findings.extend(_deprecation_shim_findings(tree, noqa, path))
+
+    if _private_interner_applies(path):
+        findings.extend(_private_interner_findings(tree, noqa, path))
 
     loaded_anywhere = _loaded_names(tree)
     exported = _dunder_all(tree)
