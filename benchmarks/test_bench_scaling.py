@@ -602,9 +602,12 @@ def test_bench_big_tiers(benchmark):
     benchmark.extra_info["big_tiers"] = existing
 
     # Acceptance: the 10k tier stays a live serving system -- cold build
-    # in interactive time, churn absorbed in sub-second splices, and the
-    # post-mutation re-serve never re-running the cold fixpoint.
+    # in interactive time, churn absorbed in sub-second splices, the
+    # post-mutation re-serve never re-running the cold fixpoint, and both
+    # the first serve and the worst re-serve cycle inside their gates.
     ten_k = next(tier for tier in tiers if tier["size"] == 10_000)
     assert ten_k["cold_build_seconds"] < 60.0, ten_k
     assert ten_k["mutation_median_seconds"] < 1.0, ten_k
     assert ten_k["reserve_median_seconds"] < ten_k["first_serve_seconds"], ten_k
+    assert ten_k["first_serve_seconds"] < 8.0, ten_k
+    assert ten_k["reserve_max_seconds"] < 2.0, ten_k

@@ -7,14 +7,23 @@ ASCII versions of the graph figures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.analysis.measurement import MeasurementResults
 from repro.core.tdg import DependencyLevel, TransformationDependencyGraph
 from repro.catalog.spec import TABLE1_MOBILE, TABLE1_WEB
 from repro.model.factors import PersonalInfoKind, Platform
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; networkx loads lazily
+    import networkx as nx
 
 #: The paper's Fig. 3 / Section IV-B-1 reference values.
 PAPER_PATH_TYPE_SHARES: Mapping[Platform, Mapping[str, float]] = {

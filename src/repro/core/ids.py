@@ -34,8 +34,8 @@ deltas lazily diffs :meth:`Interner.retired_mask` against the mask it
 last saw and clears those bits first, since a removed and re-added
 name comes back under a fresh id.
 
-The frozenset-of-names query API of the index layers is preserved as
-thin decoding views over these masks; ``tests/test_ids.py`` pins the
+The masks are the only stored form; the frozenset-of-names accessors
+of the index layers decode them on demand.  ``tests/test_ids.py`` pins the
 interner lifecycle (retire-on-remove, fresh-max on re-add,
 decode-after-retire) with Hypothesis mutation sequences and
 ``tests/test_dynamic_equivalence.py`` locks the mask-backed postings

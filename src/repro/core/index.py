@@ -30,12 +30,12 @@ service names are interned onto dense monotone integer ids (the ids
 *are* the insertion ordinals -- see :class:`repro.core.ids.Interner`),
 and a posting is an ``int`` whose set bits are provider/demander/holder
 ids.  Union, intersection, and difference in the maintenance paths are
-single big-int ops; the frozenset/tuple query API every caller and
-differential test depends on is preserved as decoding views that are
-rebuilt only for the postings a mutation actually touched.  Because ids
-are monotone, decoding a mask lowest-bit-first reproduces graph
-insertion order, so the ordered tuples no longer need splice
-bookkeeping of their own.
+single big-int ops.  The masks are the only stored form of the provider,
+demander and linked-consumer postings: the accessors that return names
+decode on demand and cache nothing (only the holder postings, which the
+closure reads per round, keep a decoded view).  Because ids are
+monotone, decoding a mask lowest-bit-first reproduces graph insertion
+order, so the ordered tuples need no splice bookkeeping of their own.
 
 One :class:`EcosystemIndex` can back many :class:`AttackerIndex` views,
 which is what the batch APIs (``TransformationDependencyGraph.analyze_many``,
@@ -100,8 +100,8 @@ class EcosystemIndex:
     Node order is preserved everywhere (tuples follow the graph's insertion
     order) so that indexed queries enumerate providers in exactly the order
     the seed's linear scans did.  Postings are id bitmasks internally; the
-    name-level attributes (``holders_of``, ``dossier_holders``, ...) are
-    the decoding views.
+    name-level attributes (``holders_of``, ``dossier_holders``) are kept
+    decoded views, and the demander/linked accessors decode per call.
     """
 
     def __init__(self, nodes: Mapping[str, "TDGNode"]) -> None:
@@ -188,11 +188,6 @@ class EcosystemIndex:
         #: identity provider -> bitmask of services accepting it on a
         #: linked-account path.
         self._linked_masks: Dict[str, int] = linked_masks
-        # Lazily decoded frozen views of the two masks above, cached so the
-        # fixpoint inner loops (which read the same factor's demanders
-        # thousands of times per absorb) never re-wrap a frozenset per call.
-        self._demander_views: Dict[CredentialFactor, FrozenSet[str]] = {}  # decoded view
-        self._linked_views: Dict[str, FrozenSet[str]] = {}  # decoded view
 
     @staticmethod
     def _node_demands(node: "TDGNode") -> FrozenSet[CredentialFactor]:
@@ -211,7 +206,7 @@ class EcosystemIndex:
         )
 
     # ------------------------------------------------------------------
-    # Decoding views (mask -> names; rebuilt only for touched postings)
+    # Decoding views (mask -> names)
     # ------------------------------------------------------------------
 
     def _decode_holders(self, kind: PersonalInfoKind) -> None:
@@ -228,13 +223,9 @@ class EcosystemIndex:
             self._holder_sets.pop(kind, None)
 
     def demanders(self, factor: CredentialFactor) -> FrozenSet[str]:
-        """Services with a takeover path demanding ``factor`` (a cached
-        frozen view; no per-call allocation)."""
-        view = self._demander_views.get(factor)
-        if view is None:
-            view = self.ids.decode_mask(self._demander_masks.get(factor, 0))
-            self._demander_views[factor] = view
-        return view
+        """Services with a takeover path demanding ``factor`` (decoded
+        from :meth:`demanders_mask` per call)."""
+        return self.ids.decode_mask(self._demander_masks.get(factor, 0))
 
     def demanders_mask(self, factor: CredentialFactor) -> int:
         """Bitmask form of :meth:`demanders`."""
@@ -261,12 +252,8 @@ class EcosystemIndex:
 
     def linked_consumers_of(self, provider: str) -> FrozenSet[str]:
         """Services accepting ``provider`` on a ``LINKED_ACCOUNT`` path
-        (a cached frozen view; no per-call allocation)."""
-        view = self._linked_views.get(provider)
-        if view is None:
-            view = self.ids.decode_mask(self._linked_masks.get(provider, 0))
-            self._linked_views[provider] = view
-        return view
+        (decoded from :meth:`linked_consumers_mask` per call)."""
+        return self.ids.decode_mask(self._linked_masks.get(provider, 0))
 
     def linked_consumers_mask(self, provider: str) -> int:
         """Bitmask form of :meth:`linked_consumers_of`."""
@@ -418,12 +405,10 @@ class EcosystemIndex:
                 self._demander_masks[factor] = remaining
             else:
                 del self._demander_masks[factor]
-            self._demander_views.pop(factor, None)
         for factor in new_demands - old_demands:
             self._demander_masks[factor] = (
                 self._demander_masks.get(factor, 0) | bit
             )
-            self._demander_views.pop(factor, None)
 
         old_links = self._node_links(old) if old is not None else frozenset()
         new_links = self._node_links(new) if new is not None else frozenset()
@@ -433,12 +418,10 @@ class EcosystemIndex:
                 self._linked_masks[provider] = remaining
             else:
                 del self._linked_masks[provider]
-            self._linked_views.pop(provider, None)
         for provider in new_links - old_links:
             self._linked_masks[provider] = (
                 self._linked_masks.get(provider, 0) | bit
             )
-            self._linked_views.pop(provider, None)
 
         if new is None:
             self.ids.retire(name)
@@ -491,10 +474,12 @@ class AttackerIndex:
     """factor -> providers, resolved under one attacker profile.
 
     ``LINKED_ACCOUNT`` is the one path-dependent factor (the accepted
-    identity providers are a property of the path); it is resolved lazily in
-    :meth:`provider_names` / :meth:`providers_ordered`.  Static postings
-    are id bitmasks assembled from the ecosystem's holder masks; the
-    frozenset/tuple forms are their decoding views.
+    identity providers are a property of the path); it is resolved per
+    query in :meth:`provider_mask` / :meth:`providers_ordered`.  Static
+    postings are id bitmasks assembled from the ecosystem's holder masks
+    and are the only stored form: the name accessors
+    (:meth:`static_provider_set`, :meth:`static_providers_ordered`,
+    :meth:`providers_ordered`) decode them when called.
     """
 
     def __init__(
@@ -512,8 +497,6 @@ class AttackerIndex:
         )
         self._email_channel = email_channel
         self._static_masks: Dict[CredentialFactor, int] = {}
-        self._static: Dict[CredentialFactor, FrozenSet[str]] = {}  # decoded view
-        self._static_ordered: Dict[CredentialFactor, Tuple[str, ...]] = {}  # decoded view
         for factor in CredentialFactor:
             if factor is CredentialFactor.LINKED_ACCOUNT:
                 continue  # path-dependent; resolved per query
@@ -537,15 +520,6 @@ class AttackerIndex:
                 for kind in info_satisfying_factor(factor):
                     mask |= ecosystem.holder_mask(kind)
             self._static_masks[factor] = mask
-            self._decode_static(factor)
-
-    def _decode_static(self, factor: CredentialFactor) -> None:
-        """Refresh one factor's name-level views from its provider mask."""
-        ordered = self.ecosystem.ids.decode_mask_ordered(
-            self._static_masks[factor]
-        )
-        self._static_ordered[factor] = ordered
-        self._static[factor] = frozenset(ordered)
 
     def provided_factors(self, node: "TDGNode") -> FrozenSet[CredentialFactor]:
         """Path-independent factors ``node`` provides under this profile.
@@ -604,10 +578,8 @@ class AttackerIndex:
             return frozenset()
         for factor in old_factors - new_factors:
             self._static_masks[factor] &= ~self._bit_of(name)
-            self._decode_static(factor)
         for factor in new_factors - old_factors:
             self._static_masks[factor] |= self._bit_of(name)
-            self._decode_static(factor)
         return old_factors ^ new_factors
 
     def _bit_of(self, name: str) -> int:
@@ -622,7 +594,7 @@ class AttackerIndex:
         Raises ``KeyError`` for ``LINKED_ACCOUNT`` (whose providers are a
         property of the path); callers gate on that factor first.
         """
-        return self._static[factor]
+        return self.ecosystem.ids.decode_mask(self._static_masks[factor])
 
     def static_provider_mask(self, factor: CredentialFactor) -> int:
         """Bitmask form of :meth:`static_provider_set`."""
@@ -632,22 +604,14 @@ class AttackerIndex:
         self, factor: CredentialFactor
     ) -> Tuple[str, ...]:
         """Like :meth:`static_provider_set`, in graph insertion order."""
-        return self._static_ordered[factor]
-
-    def provider_names(self, factor: CredentialFactor, path) -> FrozenSet[str]:
-        """Services providing ``factor`` for ``path``, excluding the path's
-        own service (a node never parents itself)."""
-        if factor is CredentialFactor.LINKED_ACCOUNT:
-            base = path.linked_providers & self.ecosystem.name_set
-        else:
-            base = self._static[factor]
-        if path.service in base:
-            return base - {path.service}
-        return base
+        return self.ecosystem.ids.decode_mask_ordered(
+            self._static_masks[factor]
+        )
 
     def provider_mask(self, factor: CredentialFactor, path) -> int:
-        """Bitmask form of :meth:`provider_names` (path's own service bit
-        cleared)."""
+        """Bitmask of the services providing ``factor`` for ``path``, with
+        the path's own service bit cleared (a node never parents
+        itself)."""
         if factor is CredentialFactor.LINKED_ACCOUNT:
             mask = self.ecosystem.ids.encode_live(path.linked_providers)
         else:
@@ -660,13 +624,8 @@ class AttackerIndex:
     def providers_ordered(
         self, factor: CredentialFactor, path
     ) -> Tuple[str, ...]:
-        """Like :meth:`provider_names` but in graph insertion order, matching
+        """:meth:`provider_mask` decoded in graph insertion order, matching
         the enumeration order of the seed's linear scans."""
-        if factor is CredentialFactor.LINKED_ACCOUNT:
-            return self.ecosystem.ids.decode_mask_ordered(
-                self.provider_mask(factor, path)
-            )
-        ordered = self._static_ordered[factor]
-        if path.service in self._static[factor]:
-            return tuple(name for name in ordered if name != path.service)
-        return ordered
+        return self.ecosystem.ids.decode_mask_ordered(
+            self.provider_mask(factor, path)
+        )

@@ -53,6 +53,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from typing import (
+    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -64,8 +65,6 @@ from typing import (
     Tuple,
     Union,
 )
-
-import networkx as nx
 
 from repro.core.authproc import ServiceAuthReport
 from repro.core.collection import CollectionReport
@@ -92,6 +91,9 @@ from repro.model.factors import (
     Platform,
     is_robust_factor,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; networkx loads lazily
+    import networkx as nx
 
 __all__ = [
     "DOSSIER_KINDS",
@@ -237,10 +239,8 @@ class TransformationDependencyGraph:
         #: Cached coverage keys grouped by owning service, so delta
         #: invalidation pops per service instead of scanning every path.
         self._coverage_by_service: Dict[str, List[AuthPath]] = {}
-        self._full_parents_cache: Dict[str, FrozenSet[str]] = {}
-        self._half_parents_cache: Dict[str, FrozenSet[str]] = {}
-        # Service-id bitmask twins of the two caches above (sources of
-        # truth; the frozensets are their decoded views).
+        # Full/half parent sets as service-id bitmasks (the only stored
+        # form; the name accessors decode on demand).
         self._full_parents_masks: Dict[str, int] = {}
         self._half_parents_masks: Dict[str, int] = {}
         self._couples_cache: Dict[Tuple[str, int], Tuple[CoupleRecord, ...]] = {}
@@ -368,11 +368,16 @@ class TransformationDependencyGraph:
 
     @staticmethod
     def node_from_profile(profile: ServiceProfile) -> TDGNode:
-        """Convert one service profile into a TDG node."""
+        """Convert one service profile into a TDG node.
+
+        Platforms and kinds are frozensets; they are walked in enum value
+        order so ``pia_partial``'s key order is the same under any hash
+        seed."""
         complete: Set[PersonalInfoKind] = set()
         partial: Dict[PersonalInfoKind, FrozenSet[int]] = {}
-        for platform in profile.platforms:
-            for kind in profile.info_on(platform):
+        for platform in sorted(profile.platforms, key=lambda p: p.value):
+            kinds = sorted(profile.info_on(platform), key=lambda k: k.value)
+            for kind in kinds:
                 spec = profile.mask_for(platform, kind)
                 length = canonical_length(kind)
                 positions = spec.revealed_positions(length)
@@ -746,11 +751,12 @@ class TransformationDependencyGraph:
             return
         eco = self._eco_index
 
-        affected_services = set(touched_services)
+        cone_mask = 0
         for factor in affected_factors:
-            affected_services |= eco.demanders(factor)
+            cone_mask |= eco.demanders_mask(factor)
         for name in changed_names:
-            affected_services |= eco.linked_consumers_of(name)
+            cone_mask |= eco.linked_consumers_mask(name)
+        affected_services = set(touched_services) | eco.decode_mask(cone_mask)
 
         cone = self._cone_histogram
         if cone is None:
@@ -766,8 +772,6 @@ class TransformationDependencyGraph:
         for service in affected_services:
             for path in self._coverage_by_service.pop(service, ()):
                 self._coverage_cache.pop(path, None)
-            self._full_parents_cache.pop(service, None)
-            self._half_parents_cache.pop(service, None)
             self._full_parents_masks.pop(service, None)
             self._half_parents_masks.pop(service, None)
         for key in [
@@ -824,7 +828,7 @@ class TransformationDependencyGraph:
                 # Passwords are secrets, not harvestable information; a path
                 # demanding the current password cannot be chained into.
                 unsatisfiable.add(factor)
-            elif view.provider_names(factor, path):
+            elif view.provider_mask(factor, path):
                 residual.add(factor)
             elif self.ecosystem_index().combinable_excluding(
                 factor, path.service
@@ -858,8 +862,9 @@ class TransformationDependencyGraph:
         """
         if factor is CredentialFactor.LINKED_ACCOUNT:
             return provider.service in path.linked_providers
-        return provider.service in self.attacker_index().static_provider_set(
-            factor
+        own = self.ecosystem_index().ids.get(provider.service)
+        return own is not None and bool(
+            self.attacker_index().static_provider_mask(factor) >> own & 1
         )
 
     def partial_positions(
@@ -920,8 +925,9 @@ class TransformationDependencyGraph:
     ) -> bool:
         """Whether the compromised ``pool`` satisfies ``factor`` -- via a
         full provider or via combining masked views."""
-        names = self.attacker_index().provider_names(factor, path)
-        if names & pool:
+        if self.attacker_index().provider_mask(
+            factor, path
+        ) & self.ecosystem_index().encode_names(pool):
             return True
         return self._combinable(factor, path, pool)
 
@@ -938,18 +944,14 @@ class TransformationDependencyGraph:
         the signature (self-exclusion distributes, so subtracting the
         service afterwards is exact).  Only linked paths -- whose
         provider options are a property of the path -- intersect their
-        own provider sets.  Per-service results stay memoized; a delta
-        pops them along the reachable cone and retracts only the
-        signature entries whose postings moved.
+        own provider sets.  Per-service masks stay memoized (this decodes
+        :meth:`full_capacity_parents_mask` per call); a delta pops them
+        along the reachable cone and retracts only the signature entries
+        whose postings moved.
         """
-        cached = self._full_parents_cache.get(service)
-        if cached is not None:
-            return cached
-        result = self.ecosystem_index().decode_mask(
+        return self.ecosystem_index().decode_mask(
             self.full_capacity_parents_mask(service)
         )
-        self._full_parents_cache[service] = result
-        return result
 
     def full_capacity_parents_mask(self, service: str) -> int:
         """:meth:`full_capacity_parents` as a service-id bitmask -- the
@@ -986,16 +988,12 @@ class TransformationDependencyGraph:
 
         The non-linked member sets (union minus intersection per residual
         signature) come from the :meth:`parents_view`, shared across every
-        service on the signature; linked paths stay per-path.  Memoized
-        and invalidated exactly like :meth:`full_capacity_parents`."""
-        cached = self._half_parents_cache.get(service)
-        if cached is not None:
-            return cached
-        result = self.ecosystem_index().decode_mask(
+        service on the signature; linked paths stay per-path.  Decoded
+        from :meth:`half_capacity_parents_mask`, which is memoized and
+        invalidated exactly like the full-capacity mask."""
+        return self.ecosystem_index().decode_mask(
             self.half_capacity_parents_mask(service)
         )
-        self._half_parents_cache[service] = result
-        return result
 
     def half_capacity_parents_mask(self, service: str) -> int:
         """:meth:`half_capacity_parents` as a service-id bitmask."""
@@ -1274,12 +1272,17 @@ class TransformationDependencyGraph:
             last = len(pruned) - 1
 
             def combos(level: int, acc: FrozenSet[str]):
+                # Unions only grow, so an intermediate union already over
+                # ``max_size`` can never reach ``consider`` as a survivor:
+                # skipping it leaves the records and their order unchanged.
                 if level == last:
                     for option in pruned[level]:
                         yield acc | option
                 else:
                     for option in pruned[level]:
-                        yield from combos(level + 1, acc | option)
+                        grown = acc | option
+                        if len(grown) <= max_size:
+                            yield from combos(level + 1, grown)
 
             for members in combos(0, frozenset()):
                 if consider(members):
@@ -1304,7 +1307,9 @@ class TransformationDependencyGraph:
     ) -> bool:
         """Path-independent ``_pool_provides`` (no excluded service, no
         ``LINKED_ACCOUNT``): a full provider in the pool, or combining."""
-        if self.attacker_index().static_provider_set(factor) & pool:
+        if self.attacker_index().static_provider_mask(
+            factor
+        ) & self.ecosystem_index().encode_names(pool):
             return True
         return self._combinable_pool(factor, pool)
 
@@ -1495,6 +1500,8 @@ class TransformationDependencyGraph:
         Nodes carry ``fringe`` (bool) and ``domain`` attributes; edges carry
         ``directivity`` in {"strong", "weak"}.
         """
+        import networkx as nx
+
         graph = nx.DiGraph()
         for node in self._nodes.values():
             graph.add_node(

@@ -546,7 +546,7 @@ class DynamicAnalysisSession:
         return StrategyEngine(self.graph(attacker)).forward_closure(**kwargs)
 
     def strong_edge_count(self, attacker: Optional[str] = None) -> int:
-        return len(self.graph(attacker).strong_edges())
+        return self.graph(attacker).strong_edge_count()
 
     def weak_edge_count(self, attacker: Optional[str] = None) -> int:
         """Streamed count (never materializes the Couple File)."""

@@ -297,8 +297,9 @@ class DepthFixpointEngine:
         for factor in combining:
             self._combine_cache.pop(factor, None)
         availability: Set[CredentialFactor] = set()
-        dirty: Set[str] = set(touched)
-        combining_demanders: Set[str] = set()
+        cone_mask = 0
+        flipped_mask = 0
+        combining_mask = 0
         if self._joint is not None:
             view = graph.attacker_index()
             for factor in factors:
@@ -317,24 +318,25 @@ class DepthFixpointEngine:
             # keeps their signature and only re-derives depths (the
             # combining thresholds feed the joint recurrence directly).
             for factor in combining:
-                demanders = eco.demanders(factor)
-                combining_demanders |= demanders
+                demanders = eco.demanders_mask(factor)
+                combining_mask |= demanders
                 flips = self._combining_flips(factor, eco)
                 if flips is None:
-                    dirty |= demanders
+                    flipped_mask |= demanders
                 else:
-                    dirty |= flips & demanders
+                    flipped_mask |= eco.encode_names(flips) & demanders
         else:
             # Without the depth tier there is no baseline to diff; fall
             # back to the conservative cone for the signature refresh.
             availability = {f for f in factors if f not in self._innate}
-        cone_mask = 0
         for factor in availability:
             cone_mask |= eco.demanders_mask(factor)
         for name in names:
             cone_mask |= eco.linked_consumers_mask(name)
-        if cone_mask:
-            dirty |= eco.decode_mask(cone_mask)
+        dirty: Set[str] = set(touched) | eco.decode_mask(
+            cone_mask | flipped_mask
+        )
+        combining_demanders = eco.decode_mask(combining_mask)
 
         # Tier 1 refresh: signatures, direct set, platform-path memos.
         for key in [k for k in self._platform_paths if k[0] in touched]:
@@ -1129,8 +1131,7 @@ class DepthFixpointEngine:
         self._flush()
         self._ensure_depths()
         cache = self._levels.setdefault(platform, {})
-        pf0: Optional[FrozenSet[str]] = None
-        pf1: Optional[FrozenSet[str]] = None
+        pf0, pf1 = self._pure_buckets[0], self._pure_buckets[1]
         result: Dict[str, FrozenSet[DependencyLevel]] = {}
         for service, node in self._graph._nodes.items():
             paths = self._paths_on(service, platform)
@@ -1138,10 +1139,6 @@ class DepthFixpointEngine:
                 continue
             entry = cache.get(service)
             if entry is None:
-                if pf0 is None:
-                    decode = self._graph.ecosystem_index().decode_mask
-                    pf0 = decode(self._pure_buckets[0])
-                    pf1 = decode(self._pure_buckets[1])
                 entry = self._classify(service, paths, pf0, pf1)
                 cache[service] = entry
             result[service] = entry
@@ -1151,8 +1148,8 @@ class DepthFixpointEngine:
         self,
         service: str,
         paths: Tuple["AuthPath", ...],
-        pf0: FrozenSet[str],
-        pf1: FrozenSet[str],
+        pf0: int,
+        pf1: int,
     ) -> FrozenSet[DependencyLevel]:
         """One service's level set: each path contributes its minimal
         category (a service lands in several categories when different
@@ -1171,12 +1168,12 @@ class DepthFixpointEngine:
             if not residual:
                 levels.add(DependencyLevel.DIRECT)
                 continue
-            provider_sets = [
-                view.provider_names(factor, path) for factor in residual
-            ]
-            if frozenset.intersection(pf0, *provider_sets):
+            joint = -1
+            for factor in residual:
+                joint &= view.provider_mask(factor, path)
+            if joint & pf0:
                 levels.add(DependencyLevel.ONE_LAYER)
-            elif frozenset.intersection(pf1, *provider_sets):
+            elif joint & pf1:
                 levels.add(DependencyLevel.TWO_LAYER_FULL)
             elif all(
                 (cost := self._factor_cost(factor, path, service)) is not None

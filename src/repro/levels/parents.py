@@ -31,7 +31,8 @@ bitmasks** keyed by **interned signature ids**
 big-int ANDs/ORs over the attacker index's provider masks, and a
 retraction intersects the interner's factor -> signatures postings with
 the live-entry mask instead of subset-testing every cached signature.
-The frozenset API is a decoding cache on top.
+The masks are the only stored form; the frozenset accessors decode
+them on demand.
 
 Maintenance is the two-phase discipline of the level engine, one tier
 down:
@@ -83,12 +84,10 @@ class SignatureParentsView:
         #: Bitmask over signature ids: which entries are live (derived and
         #: not yet retracted).
         self._entries_mask: int = 0
-        # sig id -> service-id bitmask (sources of truth) ...
+        # sig id -> service-id bitmask (the only stored form; the name
+        # accessors decode on demand).
         self._full_masks: Dict[int, int] = {}
         self._half_masks: Dict[int, int] = {}
-        # ... and their lazily decoded frozenset views.
-        self._full_views: Dict[int, FrozenSet[str]] = {}  # decoded view
-        self._half_views: Dict[int, FrozenSet[str]] = {}  # decoded view
         # Observability counters: signatures deltas retracted, and reads
         # that had to re-join the postings.  Registry children on the
         # graph's shared handle; ``stats()`` is the thin view over them
@@ -134,8 +133,6 @@ class SignatureParentsView:
             # Both member sets derive together, so both retract together.
             del self._full_masks[sig_id]
             self._half_masks.pop(sig_id, None)
-            self._full_views.pop(sig_id, None)
-            self._half_views.pop(sig_id, None)
         self._entries_mask &= ~stale
         self._retractions.inc(stale.bit_count())
 
@@ -187,32 +184,18 @@ class SignatureParentsView:
     ) -> FrozenSet[str]:
         """Nodes providing every factor of ``signature`` (Definition 1's
         member postings; callers subtract the consuming service)."""
-        sig_id = self._sigs.get(signature)
-        if sig_id is None or not (self._entries_mask >> sig_id) & 1:
-            sig_id = self._derive(signature)
-        view = self._full_views.get(sig_id)
-        if view is None:
-            view = self._graph.ecosystem_index().decode_mask(
-                self._full_masks[sig_id]
-            )
-            self._full_views[sig_id] = view
-        return view
+        return self._graph.ecosystem_index().decode_mask(
+            self.full_members_mask(signature)
+        )
 
     def half_members(
         self, signature: FrozenSet[CredentialFactor]
     ) -> FrozenSet[str]:
         """Nodes providing some but not all factors of ``signature``
         (Definition 2's member postings, before self-exclusion)."""
-        sig_id = self._sigs.get(signature)
-        if sig_id is None or not (self._entries_mask >> sig_id) & 1:
-            sig_id = self._derive(signature)
-        view = self._half_views.get(sig_id)
-        if view is None:
-            view = self._graph.ecosystem_index().decode_mask(
-                self._half_masks[sig_id]
-            )
-            self._half_views[sig_id] = view
-        return view
+        return self._graph.ecosystem_index().decode_mask(
+            self.half_members_mask(signature)
+        )
 
     # ------------------------------------------------------------------
     # Introspection (differential suites and observability)

@@ -232,11 +232,12 @@ class RecordStreamEngine:
         if not self._segments:
             return
         eco = self._graph.ecosystem_index()
-        dirty: Set[str] = set(touched)
+        cone_mask = 0
         for factor in factors:
-            dirty |= eco.demanders(factor)
+            cone_mask |= eco.demanders_mask(factor)
         for name in names:
-            dirty |= eco.linked_consumers_of(name)
+            cone_mask |= eco.linked_consumers_mask(name)
+        dirty: Set[str] = set(touched) | eco.decode_mask(cone_mask)
         dropped = 0
         for store in self._segments.values():
             for service in dirty:

@@ -338,6 +338,26 @@ class TestSigpipeContract:
         assert "Traceback" not in result.stderr
 
 
+class TestStartupImports:
+    def test_cli_import_leaves_networkx_unloaded(self):
+        # Only the Fig. 4 export helpers need networkx; CLI start-up must
+        # not pay for importing it.
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.cli.main; "
+                "print('networkx' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=_env(),
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
+
+
 class TestErrorContract:
     def test_malformed_input_yields_error_record_and_exit_65(self):
         result = _pipeline(_repro("query", "--kind", "levels"), stdin="{not json}\n")

@@ -356,11 +356,13 @@ class TestReproducibility:
     def test_mutation_stream_is_hash_seed_independent(self):
         # Frozenset iteration order follows the process hash seed, so any
         # draw or tie-break over one (e.g. ``profile.platforms``) would
-        # make "seeded" churn differ from process to process.
+        # make "seeded" churn differ from process to process.  The TDG
+        # nodes' ``pia_partial`` key order is pinned the same way.
         script = (
             "import json\n"
             "from repro.catalog.builder import CatalogBuilder\n"
             "from repro.catalog.spec import CatalogSpec\n"
+            "from repro.core.tdg import TransformationDependencyGraph\n"
             "from repro.dynamic import MutationStream\n"
             "from repro.utils.serialization import (\n"
             "    mutation_to_dict, service_profile_to_dict)\n"
@@ -375,6 +377,9 @@ class TestReproducibility:
             "for profile in eco:\n"
             "    print(json.dumps(service_profile_to_dict(profile), "
             "sort_keys=True))\n"
+            "    node = TransformationDependencyGraph.node_from_profile("
+            "profile)\n"
+            "    print(json.dumps([kind.value for kind in node.pia_partial]))\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         outputs = []

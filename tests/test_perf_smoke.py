@@ -27,7 +27,7 @@ from repro.dynamic.churn import measure_serve_comparison
 from repro.model.factors import Platform
 
 #: Generous wall-clock ceiling for the full 201-service analysis.
-SMOKE_BUDGET_SECONDS = 15.0
+SMOKE_BUDGET_SECONDS = 6.0
 
 #: The incremental engine's contract at the paper-doubling 402 tier.
 REQUIRED_UPDATE_SPEEDUP = 10.0

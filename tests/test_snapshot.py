@@ -118,6 +118,9 @@ class TestSessionRoundTrip:
         assert restored.level_report() == live.level_report()
         assert restored.forward_closure() == live.forward_closure()
         assert restored.strong_edge_count() == live.strong_edge_count()
+        # The session count sums parent-mask popcounts; it must equal the
+        # materialized edge set's size.
+        assert live.strong_edge_count() == len(live.graph().strong_edges())
         assert restored.weak_edge_count() == live.weak_edge_count()
         assert dict(restored.auth_reports) == dict(live.auth_reports)
         assert dict(restored.collection_reports) == dict(
@@ -151,6 +154,9 @@ class TestSessionRoundTrip:
         )
         assert restored.level_report() == live.level_report()
         assert restored.forward_closure() == live.forward_closure()
+        assert restored.strong_edge_count() == len(
+            restored.graph().strong_edges()
+        )
         assert _canonical(restored.snapshot()) == _canonical(
             live.snapshot()
         )
