@@ -16,10 +16,11 @@ rollout what-ifs -- is served here through typed queries
   lookup and a mutation invalidates *by construction* (the version moved)
   rather than by scanning.
 - **Plan/execute separation.**  :meth:`plan` resolves attacker labels,
-  dedupes canonical keys, and hoists the shared work of a batch -- one
-  level-engine flush covering the union of requested platforms per
-  attacker -- into a prefetch step; :meth:`run` then serves each query
-  from the warm engines (and :meth:`execute_batch` is the two composed).
+  dedupes canonical keys and marks cached entries; :meth:`run` then
+  serves each query from the warm engines (and :meth:`execute_batch` is
+  the two composed).  The engines share work across a batch on their
+  own: the level engine absorbs pending deltas in one flush on its first
+  read, and later reads come off its maintained tables.
 - **Streams paginate, and survive mutations.**  Couple File and
   weak-edge queries return cursor pages served from each graph's
   :class:`~repro.streams.RecordStreamEngine`: one memoized record
@@ -54,7 +55,6 @@ from typing import (
 
 from repro.api.cache import CacheStats, ResultCache
 from repro.api.queries import (
-    BOTH_PLATFORMS,
     ClosureQuery,
     ClosureSummary,
     CoupleFileQuery,
@@ -79,7 +79,6 @@ from repro.dynamic.events import EcosystemDelta, Mutation
 from repro.dynamic.session import DynamicAnalysisSession
 from repro.model.attacker import AttackerProfile
 from repro.model.ecosystem import Ecosystem
-from repro.model.factors import Platform
 from repro.obs import Instrumentation, metrics_snapshot
 from repro.websim.internet import Internet
 
@@ -123,8 +122,6 @@ class ExecutionPlan:
 
     version: int
     steps: Tuple[PlannedQuery, ...]
-    #: Attacker label -> platform sweep one engine flush should cover.
-    level_prefetch: Mapping[str, Tuple[Platform, ...]]
 
 
 class AnalysisService:
@@ -485,16 +482,13 @@ class AnalysisService:
     def plan(self, queries: Iterable[Query]) -> ExecutionPlan:
         """Resolve a query batch against the current version.
 
-        Planning dedupes canonical keys, marks which queries the cache
-        already holds, and computes the per-attacker platform union a
-        single level-engine flush should cover -- the shared work
-        :meth:`run` hoists ahead of the per-query dispatch.
+        Planning dedupes canonical keys and marks which queries the
+        cache already holds.
         """
         queries = tuple(queries)
         with self._obs.span("api.plan", queries=len(queries)) as span:
             primary = self.primary_attacker
             steps: List[PlannedQuery] = []
-            prefetch: Dict[str, Set[Platform]] = {}
             seen_keys: Set[Tuple] = set()
             deduped = 0
             for query in queries:
@@ -506,26 +500,6 @@ class AnalysisService:
                 if key in seen_keys:
                     deduped += 1
                 seen_keys.add(key)
-                if cached:
-                    continue
-                label = query.resolved_attacker(primary)
-                if isinstance(query, LevelReportQuery):
-                    prefetch.setdefault(label, set()).update(query.platforms)
-                elif isinstance(query, DependencyLevelsQuery):
-                    prefetch.setdefault(label, set()).add(query.platform)
-                elif isinstance(query, MeasurementQuery):
-                    prefetch.setdefault(label, set()).update(BOTH_PLATFORMS)
-                elif isinstance(query, DefenseEvalQuery):
-                    for row_label in query.attackers or (primary,):
-                        prefetch.setdefault(row_label, set()).update(
-                            BOTH_PLATFORMS
-                        )
-            ordered_prefetch = {
-                label: tuple(
-                    sorted(platforms, key=lambda platform: platform.value)
-                )
-                for label, platforms in prefetch.items()
-            }
             self._plans_counter.inc()
             if deduped:
                 self._plan_dedupe_counter.inc(deduped)
@@ -533,12 +507,7 @@ class AnalysisService:
                 "cached", sum(1 for step in steps if step.cached)
             )
             span.set_attribute("deduped", deduped)
-            span.set_attribute("prefetch_attackers", len(ordered_prefetch))
-            return ExecutionPlan(
-                version=self.version,
-                steps=tuple(steps),
-                level_prefetch=ordered_prefetch,
-            )
+            return ExecutionPlan(version=self.version, steps=tuple(steps))
 
     def run(self, plan: ExecutionPlan) -> Tuple[Any, ...]:
         """Execute a plan, one result per planned query (in order)."""
@@ -548,11 +517,6 @@ class AnalysisService:
                 f"is at {self.version}; re-plan after mutations"
             )
         with self._obs.span("api.run", steps=len(plan.steps)) as span:
-            for label, platforms in plan.level_prefetch.items():
-                # One engine flush per attacker covers every platform the
-                # batch needs; the per-query dispatches below then serve
-                # from the warm fixpoints and classification caches.
-                self._session.graph(label).levels_report(platforms)
             results: List[Any] = []
             hits = 0
             for step in plan.steps:

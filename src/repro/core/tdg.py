@@ -725,10 +725,16 @@ class TransformationDependencyGraph:
         whose factors' provider postings moved (phase A; the next parent
         read re-joins them, phase B).
 
-        The reachable-service set itself comes from the index's
-        reverse-dependency postings (factor -> demanders, provider ->
-        linking services) instead of predicate scans over every memoized
-        entry, so invalidation is O(affected), not O(cached x paths).
+        The graph's own memos are then dropped along the reachable-service
+        set, which comes from the index's reverse-dependency postings
+        (factor -> demanders, provider -> linking services).  Coverage
+        and parent masks are popped per reachable service.  The other
+        five caches are not keyed by service, so each delta scans them
+        in full: the pool-cover and couple caches are filtered by the
+        key's service, the signature-set and signature-cover caches by
+        factor overlap (one ``frozenset`` built per key), and the global
+        combining cache by factor.  The cost is therefore O(affected)
+        plus O(cached keys) per delta.
         """
         if self._levels_engine is not None:
             self._levels_engine.note_delta(
@@ -1545,8 +1551,9 @@ class TransformationDependencyGraph:
 
     def dependency_levels(
         self, platform: Platform
-    ) -> Dict[str, FrozenSet[DependencyLevel]]:
-        """Per-service dependency levels on one platform.
+    ) -> Mapping[str, FrozenSet[DependencyLevel]]:
+        """Per-service dependency levels on one platform (a read-only map
+        in node order).
 
         Levels are non-exclusive across a service's paths ("the overall
         percentage can not be summed up to 100% since one service can have
@@ -1559,26 +1566,20 @@ class TransformationDependencyGraph:
     def level_fractions(
         self, platform: Platform
     ) -> Dict[DependencyLevel, float]:
-        """Fraction of platform services in each level (non-exclusive)."""
-        levels = self.dependency_levels(platform)
-        if not levels:
-            raise ValueError(f"no services on {platform}")
-        counts = {level: 0 for level in DependencyLevel}
-        for service_levels in levels.values():
-            for level in service_levels:
-                counts[level] += 1
-        n = len(levels)
-        return {level: counts[level] / n for level in DependencyLevel}
+        """Fraction of platform services in each level (non-exclusive),
+        read off the level engine's maintained counts."""
+        return self.levels_engine().level_fractions(platform)
 
     def levels_report(
         self, platforms: Iterable[Platform]
     ) -> Dict[Platform, Dict[DependencyLevel, float]]:
-        """Level fractions for several platforms off one engine flush --
-        the batch entry point the measurement study and the defense
-        evaluation consume levels through, so their per-platform sweeps
-        share the engine's warm fixpoints."""
+        """Level fractions for several platforms -- the batch entry point
+        the measurement study and the defense evaluation consume levels
+        through."""
+        engine = self.levels_engine()
         return {
-            platform: self.level_fractions(platform) for platform in platforms
+            platform: engine.level_fractions(platform)
+            for platform in platforms
         }
 
     def fringe_nodes(self) -> FrozenSet[str]:

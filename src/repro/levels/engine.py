@@ -39,10 +39,12 @@ common case for churn that touches services deep in (or absent from) the
 dependency ordering.
 
 The engine also owns the per-service level classification itself
-(:meth:`DepthFixpointEngine.dependency_levels`), caching one entry per
-service and invalidating, per delta, only the entries whose inputs --
-own coverage signature, provider postings, or the depth of a service they
-can draw factors from -- actually changed.  Platform path filtering is
+(:meth:`DepthFixpointEngine.dependency_levels`), keeping one ordered
+entry map and one count per level for each platform, and reclassifying,
+per delta, only the entries whose inputs -- own coverage signature,
+provider postings, or the depth of a service they can draw factors from
+-- actually changed.  The Section IV fractions are read off the counts
+(:meth:`DepthFixpointEngine.level_fractions`).  Platform path filtering is
 threaded through one memo shared by the classification and
 :meth:`is_direct`.  All invalidation is *lazy*: deltas accumulate via
 :meth:`note_delta` and are flushed on the next query, so a mutation burst
@@ -53,11 +55,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import types
 from collections import deque
 from typing import (
     TYPE_CHECKING,
     Dict,
     FrozenSet,
+    Mapping,
     Optional,
     Set,
     Tuple,
@@ -111,6 +115,30 @@ class NodeSignature:
     ]
 
 
+class _LevelTable:
+    """One platform's served classification.
+
+    ``entries`` maps every service with paths on the platform to its
+    level set, in the graph's node order; ``view`` is the read-only map
+    handed out for it.  A served map is never mutated (results keep it at
+    their version), so a refresh builds a new dict.  ``counts`` holds the
+    services per level.  ``stale`` collects the entries to reclassify on
+    the next read (every service, for a new table), and ``moved`` the
+    names added to or removed from the node set since the last read
+    (their node-order position may have changed)."""
+
+    __slots__ = ("entries", "view", "counts", "stale", "moved")
+
+    def __init__(self, services) -> None:
+        self.entries: Dict[str, FrozenSet[DependencyLevel]] = {}
+        self.view = types.MappingProxyType(self.entries)
+        self.counts: Dict[DependencyLevel, int] = dict.fromkeys(
+            DependencyLevel, 0
+        )
+        self.stale: Set[str] = set(services)
+        self.moved: Set[str] = set()
+
+
 class DepthFixpointEngine:
     """Owns the dependency-level fixpoints of one graph, incrementally.
 
@@ -124,7 +152,8 @@ class DepthFixpointEngine:
     - **depths**: the joint and pure-full depth maps, the factor depth
       buckets, the memoized full-capacity parents, and the residual-
       signature postings a service's children are derived from;
-    - **levels**: one classification entry per (platform, service).
+    - **levels**: one classification entry per (platform, service),
+      plus the per-level counts the fractions are read from.
 
     Every service bitmask holds ecosystem ids (``EcosystemIndex.ids``),
     so the graph's parent masks are stored as they come.  A flush first
@@ -177,10 +206,9 @@ class DepthFixpointEngine:
         self._combine_profiles: Dict[
             CredentialFactor, Tuple[int, Dict[str, int]]
         ] = {}
-        # Tier 3: per-service level entries, one cache per platform.
-        self._levels: Dict[
-            Platform, Dict[str, FrozenSet[DependencyLevel]]
-        ] = {}
+        # Tier 3: per-service level entries and counts, one table per
+        # platform.
+        self._levels: Dict[Platform, _LevelTable] = {}
         # Pending (unflushed) delta scope.
         self._pending_touched: Set[str] = set()
         self._pending_factors: Set[CredentialFactor] = set()
@@ -438,9 +466,9 @@ class DepthFixpointEngine:
                 invalid_mask |= self._children_mask(service, eco)
         if invalid_mask:
             invalid |= eco.decode_mask(invalid_mask)
-        for cache in self._levels.values():
-            for service in invalid:
-                cache.pop(service, None)
+        for table in self._levels.values():
+            table.stale |= invalid
+            table.moved |= names
 
     def _clear_retired(self, eco: "EcosystemIndex", nodes) -> Set[str]:
         """Retire-at-flush: drop the bits of every ecosystem id retired
@@ -1118,8 +1146,8 @@ class DepthFixpointEngine:
 
     def dependency_levels(
         self, platform: Platform
-    ) -> Dict[str, FrozenSet[DependencyLevel]]:
-        """Per-service dependency levels on one platform, from the cache.
+    ) -> Mapping[str, FrozenSet[DependencyLevel]]:
+        """Per-service dependency levels on one platform, in node order.
 
         Cache/invalidation contract: one entry per (platform, service).
         An entry reads exactly the service's own coverage signature,
@@ -1127,22 +1155,87 @@ class DepthFixpointEngine:
         pool answers (depth summaries, combining thresholds, linked
         depths); the flush drops entries only along *net* changes to
         those inputs, so after a mutation only the reachable cone is
-        reclassified and everything else is served verbatim."""
+        reclassified and everything else is served verbatim.
+
+        The answer is a read-only map, and the same object is returned
+        until a flush changes an entry; a map once returned never
+        changes."""
+        return self._level_table(platform).view
+
+    def level_counts(self, platform: Platform) -> Dict[DependencyLevel, int]:
+        """Services per level on one platform (non-exclusive), maintained
+        alongside :meth:`dependency_levels`."""
+        return dict(self._level_table(platform).counts)
+
+    def level_fractions(
+        self, platform: Platform
+    ) -> Dict[DependencyLevel, float]:
+        """Fraction of the platform's services in each level, read off
+        the maintained counts (O(levels) once the table is current)."""
+        table = self._level_table(platform)
+        total = len(table.entries)
+        if not total:
+            raise ValueError(f"no services on {platform}")
+        counts = table.counts
+        return {level: counts[level] / total for level in DependencyLevel}
+
+    def _level_table(self, platform: Platform) -> _LevelTable:
         self._flush()
         self._ensure_depths()
-        cache = self._levels.setdefault(platform, {})
+        table = self._levels.get(platform)
+        if table is None:
+            table = _LevelTable(self._graph._nodes)
+            self._levels[platform] = table
+        if table.stale:
+            self._reclassify(table, platform)
+        return table
+
+    def _reclassify(self, table: _LevelTable, platform: Platform) -> None:
+        """Reclassify the table's stale entries.  Entries that come out
+        unchanged cost nothing further; otherwise the changes land in a
+        copy of the served map, which is rebuilt in node order only when
+        a service joined the platform or its node-order position may have
+        moved (it was added or removed since the last read)."""
+        nodes = self._graph._nodes
         pf0, pf1 = self._pure_buckets[0], self._pure_buckets[1]
-        result: Dict[str, FrozenSet[DependencyLevel]] = {}
-        for service, node in self._graph._nodes.items():
-            paths = self._paths_on(service, platform)
-            if not paths:
+        entries = table.entries
+        moved = table.moved
+        changes = []
+        for service in table.stale:
+            old = entries.get(service)
+            paths = (
+                self._paths_on(service, platform) if service in nodes else ()
+            )
+            new = self._classify(service, paths, pf0, pf1) if paths else None
+            if new != old or (new is not None and service in moved):
+                changes.append((service, old, new))
+        table.stale = set()
+        table.moved = set()
+        if not changes:
+            return
+        entries = dict(entries)
+        counts = dict(table.counts)
+        reorder = False
+        for service, old, new in changes:
+            if old is not None:
+                for level in old:
+                    counts[level] -= 1
+            if new is None:
+                del entries[service]
                 continue
-            entry = cache.get(service)
-            if entry is None:
-                entry = self._classify(service, paths, pf0, pf1)
-                cache[service] = entry
-            result[service] = entry
-        return result
+            for level in new:
+                counts[level] += 1
+            entries[service] = new
+            reorder = reorder or old is None or service in moved
+        if reorder:
+            entries = {
+                service: entries[service]
+                for service in nodes
+                if service in entries
+            }
+        table.entries = entries
+        table.view = types.MappingProxyType(entries)
+        table.counts = counts
 
     def _classify(
         self,

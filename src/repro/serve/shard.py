@@ -9,11 +9,10 @@ inbox queue, so **mutations serialize per shard** while traffic to
 different shards runs fully in parallel across the pool.
 
 Read batching: consecutive queued queries are drained into one
-``execute_batch`` call, so the planner's level-prefetch hoisting (one
-engine flush per attacker covering the union of requested platforms)
-amortizes across concurrent readers -- the fan-out happens *inside* the
-plan, where shared work is deduped, instead of across threads fighting
-over one graph.
+``execute_batch`` call, so concurrent readers share one plan (duplicate
+keys are deduped there) and the engines' lazy delta flushes are paid
+once per batch -- the fan-out happens *inside* the plan instead of
+across threads fighting over one graph.
 
 Mutations apply exactly once.  The engines are deterministic and
 in-process, so a failed mutation would fail the same way again: its

@@ -32,6 +32,7 @@ from repro.core.actfort import ActFort
 from repro.core.strategy import StrategyEngine
 from repro.defense.evaluation import measure_outcome, standard_defenses
 from repro.dynamic import DynamicAnalysisSession, MutationStream
+from repro.dynamic.events import RemoveService
 from repro.dynamic.rollout import (
     RolloutTrajectory,
     TrajectoryPoint,
@@ -445,12 +446,19 @@ def test_plan_dedupes_identical_queries_and_rejects_stale_plans():
 def test_batch_planning_shares_one_level_flush_across_queries():
     ecosystem = build_ecosystem(SEEDS[4])
     service = AnalysisService(ecosystem)
-    plan = service.plan(
-        [
-            LevelReportQuery(platforms=(Platform.WEB,)),
-            LevelReportQuery(platforms=(Platform.MOBILE,)),
-            MeasurementQuery(),
-        ]
-    )
-    label = service.primary_attacker
-    assert plan.level_prefetch[label] == (Platform.MOBILE, Platform.WEB)
+    batch = [
+        LevelReportQuery(platforms=(Platform.WEB,)),
+        LevelReportQuery(platforms=(Platform.MOBILE,)),
+        MeasurementQuery(),
+    ]
+    service.execute_batch(batch)
+    registry = service.instrumentation.registry
+    labels = {"attacker": service.primary_attacker}
+    victim = next(iter(service.ecosystem)).name
+    receipt = service.apply(RemoveService(service=victim))
+    assert not receipt.delta.is_noop
+    before = registry.value("repro_levels_flushes_total", labels)
+    service.execute_batch(batch)
+    # The first level read absorbs the delta; the other two queries read
+    # the maintained tables.
+    assert registry.value("repro_levels_flushes_total", labels) == before + 1
