@@ -1162,11 +1162,6 @@ class DepthFixpointEngine:
         changes."""
         return self._level_table(platform).view
 
-    def level_counts(self, platform: Platform) -> Dict[DependencyLevel, int]:
-        """Services per level on one platform (non-exclusive), maintained
-        alongside :meth:`dependency_levels`."""
-        return dict(self._level_table(platform).counts)
-
     def level_fractions(
         self, platform: Platform
     ) -> Dict[DependencyLevel, float]:

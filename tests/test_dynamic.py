@@ -223,7 +223,11 @@ class TestSession:
         assert session.version == 1
         assert graph._coverage_cache == coverage_entries
         engine = graph.levels_engine()
-        assert engine._levels[PL.WEB], "no-op must not drop the level memo"
+        table = engine._levels[PL.WEB]
+        assert table.entries, "no-op must not drop the level memo"
+        assert not table.stale and not table.moved, (
+            "no-op must not mark level entries for reclassification"
+        )
         assert not engine._pending_touched, "no-op must not reach the engine"
 
     def test_attacker_and_attackers_are_exclusive(self):

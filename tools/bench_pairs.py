@@ -12,9 +12,8 @@ sides alike::
 Prints every run's end-to-end values and wall seconds, each side's
 median and quartiles per metric, and for ``--metric`` the number of
 pairs the change won and whether the median gap exceeds the parent's
-interquartile range.  ``--out FILE`` also writes the runs and the
-summary as JSON; the tool itself writes nothing else (``run.py`` keeps
-its own records in each checkout's git-ignored results folder).
+interquartile range.  The tool writes no file (``run.py`` keeps its own
+records in each checkout's git-ignored results folder).
 """
 
 from __future__ import annotations
@@ -128,15 +127,9 @@ def _parse(argv):
     parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--metric", default="serve_p50_ms")
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if args.out is not None:
-        out = args.out.resolve()
-        for checkout in (args.parent, args.change):
-            if out.is_relative_to((checkout / "perfbench").resolve()):
-                parser.error("--out must not point under perfbench/")
     return args
 
 
@@ -195,15 +188,6 @@ def main(argv) -> int:
         f"{_format(summary['parent_iqr'])} -> "
         f"{'resolved' if summary['resolved'] else 'not resolved'}"
     )
-    if args.out is not None:
-        args.out.write_text(
-            json.dumps(
-                {"args": run_argv, "runs": runs, "summary": summary},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
     return 0
 
 
